@@ -20,7 +20,6 @@ both and raises :class:`ReplayMismatch` otherwise.
 
 from __future__ import annotations
 
-import os
 import pickle
 import statistics
 import sys
@@ -30,7 +29,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from host import tree_cpu_s
 from repro.core.compose import (
     compose_matching,
     compose_vertex_cover,
@@ -250,24 +248,17 @@ def traced_solve(graph: Graph, problem: str, seed: int, k: int,
     Raises :class:`ReplayMismatch` unless the replay reproduces the
     solve's certificate and ``total_bits`` exactly.
     """
-    pid = os.getpid()
-    cpu = tree_cpu_s(pid)
     t = _clock()
     result = solve(graph, SOLVERS[problem],
                    RunContext(seed=seed, k=k, executor=executor))
     untraced_ms = (_clock() - t) * 1e3
-    cpu_ms = (tree_cpu_s(pid) - cpu) * 1e3
     barrier = executor if isinstance(executor, Executor) else SerialExecutor()
     rep = replay(graph, problem, seed, k, barrier)
     mismatches = fidelity(result, rep)
     if mismatches:
         raise ReplayMismatch(f"replay of seed {seed} differs from solve() "
                              f"in: {', '.join(mismatches)}")
-    solver_ms = result.wall_time_s * 1e3
-    row = {**rep.phases_ms, **rep.counts, "untraced_ms": untraced_ms,
-           "serve.solver_ms_p50": solver_ms,
-           "serve.overhead_ms_p50": untraced_ms - solver_ms,
-           "serve.cpu_ms_per_request": cpu_ms}
+    row = {**rep.phases_ms, **rep.counts, "untraced_ms": untraced_ms}
     if problem == "matching":
         row["matching.kernel_ms"], row["matching.kernel_edges"] = \
             kernel_time(rep)

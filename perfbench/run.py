@@ -42,7 +42,6 @@ END_TO_END: Dict[str, str] = {
     "setup_s": "s",
     "latency_p50_ms": "ms",
     "latency_p90_ms": "ms",
-    "latency_p99_ms": "ms",
     "throughput_per_s": "1/s",
     "matching_ratio": "ratio",
     "cover_ratio": "ratio",
@@ -69,6 +68,7 @@ PER_LAYER: Dict[str, str] = {
     "trace.coverage": "ratio",
     "serve.solver_ms_p50": "ms",
     "serve.overhead_ms_p50": "ms",
+    "serve.capacity_per_s": "1/s",
     "serve.batch_size_mean": "count",
     "serve.view_hit_ratio": "ratio",
     "serve.cpu_ms_per_request": "ms",
@@ -77,8 +77,12 @@ PER_LAYER: Dict[str, str] = {
     "client.lag_ms_p99": "ms",
 }
 WORKLOADS = ("coreset-matching", "coreset-cover-procs", "serve-mixed")
-#: Set-ups timed per end-to-end run; ``setup_s`` is their median.
-SETUPS = 3
+#: Set-ups timed per end-to-end run, half before the timed phase and half
+#: after it; ``setup_s`` is their median.  On a shared 2-CPU host whose
+#: speed swings by half over tens of seconds, back-to-back set-ups all
+#: land in one spell: the median of three or five of them spread 0.3
+#: across seeds.
+SETUPS = 4
 #: A workload that solves no instance of a problem loses nothing on it.
 NOT_APPLICABLE_RATIO = 1.0
 #: How long a solve child may outlive its timed phase before it is killed.
@@ -120,11 +124,15 @@ def _solve_child(args: argparse.Namespace,
 
 
 def run_solve(args: argparse.Namespace) -> Dict[str, Any]:
+    """Half the set-ups before the timed child (whose own is the last of
+    them) and half after it, as :func:`serve_load.run` does."""
     setups = 1 if args.trace else SETUPS
-    samples = [_solve_child(args, setup_only=True)[0]
-               for _ in range(setups - 1)]
+    head = (setups - 1) // 2
+    samples = [_solve_child(args, setup_only=True)[0] for _ in range(head)]
     setup_s, summary = _solve_child(args, setup_only=False)
     samples.append(setup_s)
+    samples += [_solve_child(args, setup_only=True)[0]
+                for _ in range(setups - 1 - head)]
     summary["notes"]["setup_samples_s"] = samples
     if not args.trace:
         summary["metrics"]["setup_s"] = statistics.median(samples)
@@ -170,11 +178,15 @@ def report(args: argparse.Namespace, summary: Dict[str, Any],
     latency = summary["notes"].get("latency", {})
     for name, metric in metrics.items():
         note = ""
-        if name in ("latency_p90_ms", "latency_p99_ms"):
-            q = latency["q90" if name == "latency_p90_ms" else "q99"]
-            note = (f"  (p{100 * q:.4g} of {latency['n']} samples: the "
-                    f"highest percentile with >= 10 samples beyond it)")
+        if name == "latency_p90_ms":
+            note = (f"  (p{100 * latency['q90']:.4g} of {latency['n']} "
+                    f"samples, {latency['reference_n']} for reference)")
         print(f"metric {name} = {metric['value']!r} {metric['unit']}{note}")
+    if latency:
+        print(f"tail latency = {latency['p99_ms']!r} ms at "
+              f"p{100 * latency['q99']:.4g}: the highest percentile with "
+              f">= 10 of the {latency['reference_n']} reference samples "
+              f"beyond it; not a metric, as one stall of the host moves it")
     print("notes " + json.dumps(summary["notes"], sort_keys=True))
 
 

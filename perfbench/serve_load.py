@@ -3,14 +3,26 @@ open-loop request mix.
 
 The server runs with every tuning flag at its default (threads executor,
 one worker per CPU, 5 ms batch window); ``--seed`` carries the graph seed
-derived from the workload seed.  Requests arrive open-loop at a fixed
-rate, at the times of a Poisson process conditioned on its count, over
-at most ``nproc`` keep-alive connections; each is timed from its due
-time to the end of its response, so a stall also charges the requests
-queued behind it.
+derived from the workload seed.  Requests are due open-loop at a fixed
+rate, evenly spaced, over at most ``nproc`` keep-alive connections; each
+is timed from its due time to the end of its response, so a stall also
+charges the requests queued behind it.  The latencies come from these
+requests.  Poisson arrival times would put the p99 of a run at its few
+largest arrival clusters, which differ from seed to seed more than the
+server does.
+
+The open loop runs in ``BURSTS`` equal segments, each followed by a
+short closed-loop burst on as many connections, each sending its next
+request as soon as the last is answered: the server's capacity, which the
+traced run reports as ``serve.capacity_per_s``.  ``throughput_per_s`` is
+the open loop's completed rate, which the client fixes as long as the
+server keeps up.  Capacity is not an end-to-end metric because on a
+shared 2-CPU host it follows the host's speed: across seeds it spread
+0.11-0.22, at the edge of the largest bound a metric may have.
 
 Set-up (boot, graph pin, warm pool, every request kind on every worker)
-is timed from spawn and repeated; only the last server is measured.
+is timed from spawn and repeated before and after the timed phase; the
+last server booted before it is the one measured.
 """
 
 from __future__ import annotations
@@ -51,6 +63,12 @@ KINDS: List[Tuple[str, Dict[str, Any]]] = [
                               "matching.mapreduce",
                               "matching.streaming_greedy"]}),
 ]
+#: Closed-loop capacity time per run: this long, or a tenth of a shorter
+#: run, cut into ``BURSTS`` bursts that follow equal open-loop segments.
+#: One burst at the end would sample a single spell of the host, whose
+#: speed swings by half over tens of seconds.
+SATURATION_S = 5.0
+BURSTS = 5
 WARM_ROUNDS = 3
 SPOT_CHECKS = 24
 BOOT_TIMEOUT_S = 60.0
@@ -178,18 +196,46 @@ def warm_up(server: Server, seeds: random.Random, connections: int) -> None:
 
 def plan(seeds: random.Random, seconds: float) -> List[Tuple[float, int, int]]:
     """``(due offset s, kind, seed)`` per request: ``RATE_PER_S *
-    seconds`` arrivals, uniform order statistics over the window (a
-    Poisson process given its count), kinds cycling through the mix."""
+    seconds`` arrivals, evenly spaced, kinds cycling through the mix."""
     count = round(RATE_PER_S * seconds)
-    offsets = sorted(seeds.uniform(0.0, seconds) for _ in range(count))
-    return [(off, i % len(KINDS), seeds.randrange(2**31))
-            for i, off in enumerate(offsets)]
+    return [(i / RATE_PER_S, i % len(KINDS), seeds.randrange(2**31))
+            for i in range(count)]
+
+
+def _send(server: Server, conn: Optional[http.client.HTTPConnection],
+          op: Op, body: bytes, since: float
+          ) -> Optional[http.client.HTTPConnection]:
+    """Send ``op`` on ``conn`` (opened when ``None``) and time it from
+    ``since``; returns the connection to reuse, ``None`` after an error."""
+    try:
+        if conn is None:
+            conn = server.connect()
+        op.status, op.body = _call(conn, "POST", KINDS[op.kind][0], body)
+    except TimeoutError:
+        op.error = "timeout"
+    except (OSError, http.client.HTTPException):
+        op.error = "connection_error"
+    op.done = time.perf_counter()
+    op.latency_ms = (op.done - since) * 1e3
+    if op.error and conn is not None:
+        conn.close()
+        conn = None
+    return conn
+
+
+def _on_threads(client, connections: int) -> None:
+    threads = [threading.Thread(target=client) for _ in range(connections)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
 
 
 def drive(server: Server, schedule: List[Tuple[float, int, int]],
           connections: int) -> Tuple[List[Op], float]:
     """Send ``schedule`` open-loop over ``connections`` connections;
-    returns the ops and the start instant."""
+    returns the ops and the time from the first due time to the last
+    response."""
     ops = [Op(kind=kind, seed=seed) for _, kind, seed in schedule]
     bodies = [_body(kind, seed) for _, kind, seed in schedule]
     cursor = iter(range(len(schedule)))
@@ -208,29 +254,41 @@ def drive(server: Server, schedule: List[Tuple[float, int, int]],
             if wait > 0:
                 time.sleep(wait)
                 op.lag_ms = (time.perf_counter() - due) * 1e3
-            try:
-                if conn is None:
-                    conn = server.connect()
-                op.status, op.body = _call(conn, "POST",
-                                           KINDS[op.kind][0], bodies[i])
-            except TimeoutError:
-                op.error = "timeout"
-            except (OSError, http.client.HTTPException):
-                op.error = "connection_error"
-            op.done = time.perf_counter()
-            op.latency_ms = (op.done - due) * 1e3
-            if op.error and conn is not None:
-                conn.close()
-                conn = None
+            conn = _send(server, conn, op, bodies[i], due)
         if conn is not None:
             conn.close()
 
-    threads = [threading.Thread(target=client) for _ in range(connections)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    return ops, t0
+    _on_threads(client, connections)
+    return ops, max(op.done for op in ops) - t0
+
+
+def saturate(server: Server, seeds: random.Random, seconds: float,
+             connections: int) -> Tuple[List[Op], float]:
+    """Closed loop for ``seconds``: each connection sends the mix's next
+    request, with a fresh seed, as soon as its last one is answered (at
+    least one each).  Returns the ops and the time from the start to the
+    last response."""
+    ops: List[Op] = []
+    lock = threading.Lock()
+    start = time.perf_counter()
+    end = start + seconds
+
+    def client() -> None:
+        conn: Optional[http.client.HTTPConnection] = None
+        while True:
+            with lock:
+                op = Op(kind=len(ops) % len(KINDS),
+                        seed=seeds.randrange(2**31))
+                ops.append(op)
+            body = _body(op.kind, op.seed)
+            conn = _send(server, conn, op, body, time.perf_counter())
+            if op.done >= end:
+                break
+        if conn is not None:
+            conn.close()
+
+    _on_threads(client, connections)
+    return ops, max(op.done for op in ops) - start
 
 
 def _results(op: Op, failures: Counter) -> Optional[List[Dict[str, Any]]]:
@@ -292,37 +350,77 @@ def _rejected(statz: Dict[str, Any]) -> int:
             + statz["breaker"]["rejected"])
 
 
+def boot(root: Path, env: Dict[str, str], graph_seed: int,
+         seeds: random.Random, connections: int) -> Tuple[Server, float]:
+    """A warmed server and its set-up time, from spawn."""
+    start = time.perf_counter()
+    server = Server(root, env, graph_seed)
+    try:
+        warm_up(server, seeds, connections)
+    except BaseException:
+        server.close()
+        raise
+    return server, time.perf_counter() - start
+
+
+def load(server: Server, seeds: random.Random, seconds: float,
+         connections: int) -> Tuple[List[Op], float, List[Op], float]:
+    """The timed phase: open-loop segments, each followed by a closed-loop
+    burst, so that both sample the whole run.  Returns the open-loop ops
+    and their total length, and the burst ops and theirs."""
+    burst_s = min(SATURATION_S, seconds / 10) / BURSTS
+    segment_s = seconds / BURSTS - burst_s
+    # Every open-loop request is planned before the first burst, whose
+    # request count depends on the server's speed.
+    schedules = [plan(seeds, segment_s) for _ in range(BURSTS)]
+    ops: List[Op] = []
+    bursts: List[Op] = []
+    open_s = bursts_s = 0.0
+    for schedule in schedules:
+        more, took = drive(server, schedule, connections)
+        ops += more
+        open_s += took
+        more, took = saturate(server, seeds, burst_s, connections)
+        bursts += more
+        bursts_s += took
+    return ops, open_s, bursts, bursts_s
+
+
 def run(root: Path, env: Dict[str, str], seed: int, seconds: float,
         setups: int, trace: bool) -> Dict[str, Any]:
-    """Boot ``setups`` servers (timing each), load the last one, and
-    summarize it as the solve workloads do: end-to-end metrics, and with
+    """Boot and time ``setups`` servers, half before the timed phase (the
+    last of them is loaded) and half after, so that a slow spell of the
+    host weighs on the median set-up only if it lasts the run; then
+    summarize as the solve workloads do: end-to-end metrics, and with
     ``trace`` the per-layer ones."""
     seeds = random.Random(seed)
     graph_seed = seeds.randrange(2**31)
     connections = nproc()
     setup_s = []
-    for attempt in range(setups):
-        start = time.perf_counter()
-        server = Server(root, env, graph_seed)
-        try:
-            warm_up(server, seeds, connections)
-        except BaseException:
-            server.close()
-            raise
-        setup_s.append(time.perf_counter() - start)
-        if attempt < setups - 1:
-            server.close()
+    head = (setups - 1) // 2
+    for _ in range(head):
+        server, took = boot(root, env, graph_seed, seeds, connections)
+        server.close()
+        setup_s.append(took)
+    server, took = boot(root, env, graph_seed, seeds, connections)
+    setup_s.append(took)
     try:
-        schedule = plan(seeds, seconds)
         stats0, statz0 = server.get("/stats"), server.get("/statz")
         cpu0 = tree_cpu_s(server.proc.pid)
-        ops, t0 = drive(server, schedule, connections)
+        ops, open_s, burst, burst_s = load(server, seeds, seconds,
+                                           connections)
         cpu1 = tree_cpu_s(server.proc.pid)
         rss = tree_peak_rss_mb(server.proc.pid)
         stats1, statz1 = server.get("/stats"), server.get("/statz")
     finally:
         server.close()
+    for _ in range(setups - 1 - head):
+        extra, took = boot(root, env, graph_seed, seeds, connections)
+        extra.close()
+        setup_s.append(took)
 
+    # Every op is checked; the open loop's alone feed the latencies and
+    # the quality means (so those stay a function of the seed).
     failures: Counter = Counter()
     failed_ops = set()
     served: List[Served] = []
@@ -330,20 +428,24 @@ def run(root: Path, env: Dict[str, str], seed: int, seconds: float,
     bits: List[int] = []
     solver_ms: List[float] = []
     overhead_ms: List[float] = []
-    for index, op in enumerate(ops):
+    for index, op in enumerate(ops + burst):
         results = _results(op, failures)
         if results is None:
             failed_ops.add(index)
             continue
-        for result in results:
-            names, ratio = check_result(result, N_VERTICES,
-                                        matching_opt=PLANTED_OPT,
-                                        cover_lower_bound=PLANTED_OPT)
-            if names:
-                failures.update(names)
-                failed_ops.add(index)
-                continue
-            served.append((index, op.seed, result))
+        checked = [(result, *check_result(result, N_VERTICES,
+                                          matching_opt=PLANTED_OPT,
+                                          cover_lower_bound=PLANTED_OPT))
+                   for result in results]
+        names = [name for _, failed, _ in checked for name in failed]
+        if names:
+            failures.update(names)
+            failed_ops.add(index)
+            continue
+        served.extend((index, op.seed, result) for result, _, _ in checked)
+        if index >= len(ops):
+            continue
+        for result, _, ratio in checked:
             solver_ms.append(result["wall_time_s"] * 1e3)
             if "total_bits" in result["stats"]:  # a coreset solve
                 ratios[result["problem"]].append(ratio)
@@ -358,17 +460,23 @@ def run(root: Path, env: Dict[str, str], seed: int, seconds: float,
         failed_ops.add(index)
 
     done = [op for i, op in enumerate(ops) if i not in failed_ops]
+    burst_done = sum(1 for i in range(len(ops), len(ops) + len(burst))
+                     if i not in failed_ops)
     latencies = [op.latency_ms for op in done]
     lags = [op.lag_ms for op in ops if op.lag_ms is not None]
-    p90, q90 = tail_percentile(latencies, 0.90)
-    p99, q99 = tail_percentile(latencies, 0.99)
+    # The planned request count is the reference: failures thin the
+    # samples, never move the percentile.
+    p90, q90 = tail_percentile(latencies, 0.90, len(ops))
+    p99, q99 = tail_percentile(latencies, 0.99, len(ops))
     lag99, _ = tail_percentile(lags, 0.99)
     summary = {
-        "attempted": len(ops),
+        "attempted": len(ops) + len(burst),
         "failed": len(failed_ops),
         "failures": dict(failures),
         "lag_ms_p99": lag99,
-        "notes": {"latency": {"n": len(latencies), "q90": q90, "q99": q99},
+        "notes": {"latency": {"n": len(latencies), "reference_n": len(ops),
+                              "q90": q90, "q99": q99, "p99_ms": p99},
+                  "saturation": {"requests": len(burst), "seconds": burst_s},
                   "setup_samples_s": setup_s, "spot_checked": len(sample)},
     }
     if not trace:
@@ -376,8 +484,7 @@ def run(root: Path, env: Dict[str, str], seed: int, seconds: float,
             "setup_s": statistics.median(setup_s),
             "latency_p50_ms": statistics.median(latencies),
             "latency_p90_ms": p90,
-            "latency_p99_ms": p99,
-            "throughput_per_s": len(done) / (max(o.done for o in ops) - t0),
+            "throughput_per_s": len(done) / open_s,
             "matching_ratio": statistics.fmean(ratios["matching"]),
             "cover_ratio": statistics.fmean(ratios["vertex_cover"]),
             "coreset_bits": statistics.fmean(bits),
@@ -395,12 +502,14 @@ def run(root: Path, env: Dict[str, str], seed: int, seconds: float,
         "matching.kernel_calls": kernel_calls,
         "serve.solver_ms_p50": statistics.median(solver_ms),
         "serve.overhead_ms_p50": statistics.median(overhead_ms),
+        "serve.capacity_per_s": burst_done / burst_s,
         "serve.batch_size_mean": (
             (batcher1["requests"] - batcher0["requests"])
             / (batcher1["batches"] - batcher0["batches"])),
         "serve.view_hit_ratio": hits / (hits + created) if hits + created
         else 0.0,
-        "serve.cpu_ms_per_request": (cpu1 - cpu0) * 1e3 / len(done),
+        "serve.cpu_ms_per_request": ((cpu1 - cpu0) * 1e3
+                                     / (len(done) + burst_done)),
         "serve.pools_created": statz1["breaker"]["pools_created_total"],
         "serve.rejected": _rejected(statz1) - _rejected(statz0),
         "client.lag_ms_p99": lag99,

@@ -4,9 +4,9 @@ to the metric's bound in ``BENCHMARK.json``.
 
     python3 perfbench/spread.py --workload coreset-matching --seeds 1-10
 
-A workload is steady when every end-to-end spread except ``setup_s``'s
-stays below a third of its bound.  Runs are sequential, one ``run.py``
-call each, for ``run_seconds``; the last line is the summary as JSON.
+A workload is steady when every end-to-end spread stays below a third of
+its bound.  Runs are sequential, one ``run.py`` call each, for
+``run_seconds``; the last line is the summary as JSON.
 """
 
 from __future__ import annotations
@@ -69,8 +69,7 @@ def main(argv: Optional[list] = None) -> int:
         q1, mid, q3 = quartiles(values)
         share = spread(values) if mid else None
         bound = metric.get("bound")
-        ok = (bound is None or name == "setup_s"
-              or (share is not None and share < bound / 3))
+        ok = bound is None or (share is not None and share < bound / 3)
         steady &= ok
         rows[name] = {"median": mid, "q1": q1, "q3": q3, "spread": share,
                       "bound": bound, "ok": ok}

@@ -24,8 +24,7 @@ def test_bounds_and_setup():
 
 def test_not_applicable_metrics_are_filled():
     summary = {"metrics": {"setup_s": 1.0, "latency_p50_ms": 2.0,
-                           "latency_p90_ms": 3.0, "latency_p99_ms": 4.0,
-                           "throughput_per_s": 5.0, "cover_ratio": 1.5,
+                           "latency_p90_ms": 3.0, "throughput_per_s": 5.0, "cover_ratio": 1.5,
                            "coreset_bits": 6.0, "peak_rss_mb": 7.0}}
     metrics = run.result_metrics(summary, trace=0)
     assert metrics["matching_ratio"] == {"value": 1.0, "unit": "ratio"}

@@ -28,11 +28,23 @@ def test_percentile_falls_back_to_the_median_rank():
     assert tail_percentile([5.0, 1.0, 3.0], 0.9) == (3.0, 0.5)
 
 
-@pytest.mark.parametrize("values, q", [([], 0.5), ([1.0], 0.0),
-                                       ([1.0], 1.0)])
-def test_percentile_rejects_bad_input(values, q):
+def test_a_reference_count_fixes_the_percentile():
+    # The same q whether a run reached fewer or more samples than the
+    # reference: speed moves the value, never the percentile.
+    for n in (200, 300, 600):
+        value, q = tail_percentile(list(range(1, n + 1)), 0.99, 300)
+        assert q == pytest.approx(290 / 300)
+        assert value == pytest.approx(n * 290 / 300, abs=1)
+    assert tail_percentile(list(range(1, 1001)), 0.99, 1000) == (990, 0.99)
+
+
+@pytest.mark.parametrize("values, q, ref", [([], 0.5, None),
+                                            ([1.0], 0.0, None),
+                                            ([1.0], 1.0, None),
+                                            ([1.0], 0.5, 0)])
+def test_percentile_rejects_bad_input(values, q, ref):
     with pytest.raises(ValueError):
-        tail_percentile(values, q)
+        tail_percentile(values, q, ref)
 
 
 def test_quartiles_match_statistics():
