@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Standalone substrate perf harness — the script form of ``repro bench``.
 
-Runs the pool-lifecycle, piece-transfer, and matching-scan sections of
-:mod:`repro.experiments.bench` and writes ``BENCH_substrate.json``.  Not
+Runs every section of :mod:`repro.experiments.bench` (pool lifecycle,
+matching scan, solver facade, remote backend) and writes
+``BENCH_substrate.json``.  Not
 collected by pytest (the tier-1 suite and the ``bench_e*.py`` experiment
 benchmarks have their own entry points); invoke it directly when iterating
 on the substrate without an installed console script:
@@ -34,8 +35,8 @@ def assert_substrate_claims(doc: dict) -> None:
     """Raise ``AssertionError`` on the first violated substrate claim."""
     checks = doc["checks"]
     assert checks["all_outputs_identical"], (
-        "a backend or transfer variant produced different outputs — the "
-        "determinism contract is broken"
+        "a backend variant produced different outputs — the determinism "
+        "contract is broken"
     )
     assert checks["persistent_pool_faster_than_cold"], (
         "persistent process pools were not faster than per-call pools"
@@ -43,11 +44,6 @@ def assert_substrate_claims(doc: dict) -> None:
     assert checks["solver_facade_all_verified"], (
         "a repro.solve facade solver returned an unverified certificate"
     )
-    if doc["mode"] == "full":
-        assert checks["shared_transfer_lower_overhead_at_largest"], (
-            "shared-memory transfer did not beat pickled transfer at the "
-            "largest scenario"
-        )
 
 
 if __name__ == "__main__":

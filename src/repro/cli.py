@@ -99,9 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="KEY=VALUE",
                    help="solver parameter override (repeatable), e.g. "
                         "--param alpha=8")
-    s.add_argument("--transfer", choices=["pickle", "shared"], default=None,
-                   help="piece-transfer mode for coreset solvers "
-                        "(default: $REPRO_TRANSFER or pickle)")
     s.add_argument("--certificate", action="store_true",
                    help="include the full certificate in --json output")
     s.add_argument("--json", default=None, dest="json_path", metavar="PATH",
@@ -271,10 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--max-batch", type=int, default=32,
                    help="flush a batch early at this many requests "
                         "(default 32)")
-    v.add_argument("--pin", choices=["auto", "always", "never"],
-                   default="auto",
-                   help="shared-memory graph pinning: auto pins exactly "
-                        "when the pool is a process pool")
     v.add_argument("--max-inflight", type=int, default=64,
                    help="global in-flight request cap; excess requests "
                         "get 429 overloaded + Retry-After (default 64)")
@@ -432,7 +425,7 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         graph_seed, solve_seed = spawn_seeds(args.seed, 2)
         graph = load_graph(args.graph, rng=graph_seed)
         ctx = RunContext(seed=solve_seed, k=args.k, executor=args.executor,
-                         workers=args.workers, transfer=args.transfer)
+                         workers=args.workers)
         result = solve(graph, spec.name, ctx, **params)
     except (SolverCapabilityError, ValueError) as exc:
         print(f"solve: {exc}", file=sys.stderr)
@@ -682,7 +675,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         workers=args.workers,
         batch_window_ms=args.batch_window_ms,
         max_batch=args.max_batch,
-        pin=args.pin,
         preload=tuple(preload),
         seed=args.seed,
         max_inflight=args.max_inflight,

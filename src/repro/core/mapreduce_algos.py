@@ -141,15 +141,12 @@ def mapreduce_matching(
     combiner_algorithm: Algorithm = "auto",
     initial_placement: str = "contiguous",
     executor: ExecutorSpec = None,
-    transfer: str | None = None,
 ) -> MapReduceMatchingResult:
     """O(1)-approximate maximum matching in ≤ 2 MapReduce rounds.
 
     ``executor`` selects the backend the simulated machines run on
-    (serial / threads / processes; see :mod:`repro.dist.executor`) and
-    ``transfer`` the piece-transfer mode (pickle / shared; see
-    :mod:`repro.dist.shm`) — results are bit-identical per seed across
-    all backends and transfer modes.
+    (serial / threads / processes; see :mod:`repro.dist.executor`) —
+    results are bit-identical per seed across all backends.
     """
     gen = as_generator(rng)
     k = default_machine_count(graph.n_vertices) if k is None else int(k)
@@ -159,7 +156,7 @@ def mapreduce_matching(
     # rounds, so start-up is paid once per job.
     with MapReduceSimulator(
         graph.n_vertices, k, memory_cap_edges=memory_cap_edges, rng=gen,
-        executor=executor, transfer=transfer,
+        executor=executor,
     ) as sim:
         placement = "random" if assume_random_input else initial_placement
         sim.load(_initial_pieces(graph, k, placement, gen))
@@ -191,21 +188,18 @@ def mapreduce_vertex_cover(
     log_slack: float = 4.0,
     initial_placement: str = "contiguous",
     executor: ExecutorSpec = None,
-    transfer: str | None = None,
 ) -> MapReduceCoverResult:
     """O(log n)-approximate vertex cover in ≤ 2 MapReduce rounds.
 
     ``executor`` selects the backend the simulated machines run on
-    (serial / threads / processes; see :mod:`repro.dist.executor`) and
-    ``transfer`` the piece-transfer mode (pickle / shared; see
-    :mod:`repro.dist.shm`) — results are bit-identical per seed across
-    all backends and transfer modes.
+    (serial / threads / processes; see :mod:`repro.dist.executor`) —
+    results are bit-identical per seed across all backends.
     """
     gen, cover_gen = spawn_generators(rng, 2)
     k = default_machine_count(graph.n_vertices) if k is None else int(k)
     with MapReduceSimulator(
         graph.n_vertices, k, memory_cap_edges=memory_cap_edges, rng=gen,
-        executor=executor, transfer=transfer,
+        executor=executor,
     ) as sim:
         placement = "random" if assume_random_input else initial_placement
         sim.load(_initial_pieces(graph, k, placement, gen))

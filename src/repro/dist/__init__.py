@@ -27,15 +27,17 @@ substrate, independent of any particular coreset:
 * :mod:`repro.dist.executor` — pluggable execution backends (``serial``,
   ``threads``, ``processes``, ``remote``) for the per-machine work of both
   engines, with persistent worker pools amortized across rounds and trials.
-* :mod:`repro.dist.shm` — zero-copy piece transfer: the
-  :class:`~repro.dist.shm.SharedEdgeStore` places edge arrays in shared
-  memory once and ships lightweight handles to workers instead of
-  pickling arrays per task (``transfer="shared"``).
+* :mod:`repro.dist.shm` — shared-memory edge segments: the
+  :class:`~repro.dist.shm.SharedEdgeStore` places a graph's edge array in
+  shared memory once and hands out lightweight
+  :class:`~repro.dist.shm.EdgeHandle` records, which is how ``repro
+  serve`` pins its resident graphs for process workers.  The engines
+  themselves always pickle each piece into its machine's task.
 * :mod:`repro.dist.remote` — the socket coordinator behind
   ``executor="remote"``: ``repro worker`` processes joined over
   length-prefixed RPC, with per-task timeouts, bounded retry, heartbeats,
-  and the content-addressed :class:`~repro.dist.remote.RemotePieceCache`
-  (the remote analogue of ``transfer="shared"``).
+  and the content-addressed :class:`~repro.dist.remote.RemotePieceCache`,
+  which ships each piece's bytes at most once per worker.
 
 Machines are independent in the model, and the engines preserve that
 independence in the code, so the k per-machine computations can genuinely
@@ -94,14 +96,7 @@ from repro.dist.remote import (
     RemotePieceCache,
     RemoteTaskError,
 )
-from repro.dist.shm import (
-    EdgeHandle,
-    SharedEdgeStore,
-    SharedPartitionView,
-    SharedStoreClosedError,
-    available_transfer_modes,
-    resolve_transfer,
-)
+from repro.dist.shm import EdgeHandle, SharedEdgeStore, SharedStoreClosedError
 
 __all__ = [
     "CommunicationLedger",
@@ -124,15 +119,12 @@ __all__ = [
     "RoundRecord",
     "SerialExecutor",
     "SharedEdgeStore",
-    "SharedPartitionView",
     "SharedStoreClosedError",
     "SimultaneousProtocol",
     "ThreadExecutor",
     "UnpicklableTaskError",
     "WorkerPoolBrokenError",
     "available_backends",
-    "available_transfer_modes",
     "resolve_executor",
-    "resolve_transfer",
     "run_simultaneous",
 ]

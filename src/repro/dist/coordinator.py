@@ -174,39 +174,11 @@ def _summarize_machine(task: tuple) -> Message:
     return machine.summarize(summarizer, public)
 
 
-def _summarize_machine_shared(task: tuple) -> Message:
-    """The zero-copy twin of :func:`_summarize_machine`.
-
-    The task carries an :class:`~repro.dist.shm.EdgeHandle` instead of the
-    piece itself; the worker maps the shared segment, rebuilds a read-only
-    graph view in place, and releases the attachment once the message —
-    which never aliases the segment unless the summarizer echoes its piece
-    — has been produced.
-    """
-    from repro.dist.shm import open_graph
-
-    index, handle, gen, summarizer, public = task
-    piece, attachment = open_graph(handle)
-    try:
-        message = Machine(index=index, piece=piece, rng=gen).summarize(
-            summarizer, public
-        )
-    finally:
-        # Drop the piece with the attachment: the mapping's lifetime is
-        # reference-counted, so the segment unmaps here unless the message
-        # itself aliases the piece — in which case it lives exactly as
-        # long as the result needs it.
-        del piece
-        attachment.release()
-    return message
-
-
 def run_simultaneous(
     protocol: SimultaneousProtocol[T],
     partition: _Partitioned,
     rng: RandomState = None,
     executor: ExecutorSpec = None,
-    transfer: Optional[str] = None,
 ) -> ProtocolResult[T]:
     """Execute ``protocol`` over a partitioned graph.
 
@@ -224,32 +196,19 @@ def run_simultaneous(
     combine step always run in the calling process — so every backend
     yields bit-identical results for the same seed (the contract documented
     in ``docs/PARALLELISM.md``).  The ``processes`` backend additionally
-    requires the summarizer to be picklable.
-
-    ``transfer`` selects how pieces reach the machines: ``"pickle"``
-    (serialized into each task — the default) or ``"shared"`` (edge arrays
-    are written once into a :class:`~repro.dist.shm.SharedEdgeStore`
-    segment and workers map read-only views in place, skipping per-task
-    serialization).  ``None`` resolves from ``$REPRO_TRANSFER``.  Outputs
-    are bit-identical across transfer modes; an ephemeral store is closed
-    right after the barrier.  Passing a
-    :class:`~repro.dist.shm.SharedPartitionView` as ``partition`` skips
-    even the per-call pack: its pinned handles are reused across runs
-    (the caller closes the view when the sweep ends).
+    requires the summarizer to be picklable: each machine's task, piece
+    included, is pickled into a worker.
 
     An executor resolved here (by name or from the environment) is closed
     before returning; a passed-in :class:`~repro.dist.executor.Executor`
     instance is left open so callers can amortize one pool across many
     runs (``docs/PARALLELISM.md`` §6).
     """
-    from repro.dist.shm import SharedEdgeStore, resolve_transfer
-
     graph = partition.graph
     k = partition.k
     gens = spawn_generators(rng, k + 1)
     backend = resolve_executor(executor)
     owns_backend = not isinstance(executor, Executor)
-    mode = resolve_transfer(transfer)
 
     try:
         public = (
@@ -258,33 +217,11 @@ def run_simultaneous(
             else None
         )
 
-        if mode == "shared":
-            # A SharedPartitionView already pinned its pieces in a segment;
-            # reuse those handles (the pay-once path).  Anything else gets
-            # an ephemeral store that lives exactly as long as the barrier.
-            pinned = getattr(partition, "piece_handles", None)
-            if pinned is not None:
-                tasks = [
-                    (i, pinned[i], gens[i], protocol.summarizer, public)
-                    for i in range(k)
-                ]
-                messages: List[Message] = backend.map(
-                    _summarize_machine_shared, tasks
-                )
-            else:
-                with SharedEdgeStore() as store:
-                    handles = store.put_pieces(partition)
-                    tasks = [
-                        (i, handles[i], gens[i], protocol.summarizer, public)
-                        for i in range(k)
-                    ]
-                    messages = backend.map(_summarize_machine_shared, tasks)
-        else:
-            tasks = [
-                (i, partition.piece(i), gens[i], protocol.summarizer, public)
-                for i in range(k)
-            ]
-            messages = backend.map(_summarize_machine, tasks)
+        tasks = [
+            (i, partition.piece(i), gens[i], protocol.summarizer, public)
+            for i in range(k)
+        ]
+        messages: List[Message] = backend.map(_summarize_machine, tasks)
     finally:
         if owns_backend:
             backend.close()

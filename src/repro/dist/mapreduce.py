@@ -35,7 +35,6 @@ from typing import Any, Callable, List, Optional, Sequence
 import numpy as np
 
 from repro.dist.executor import Executor, ExecutorSpec, resolve_executor
-from repro.dist.shm import SharedEdgeStore, open_edges, resolve_transfer
 from repro.graph.edgelist import Graph
 from repro.utils.rng import RandomState, spawn_generators
 
@@ -70,27 +69,6 @@ def _compute_machine(task: tuple) -> tuple:
     """One machine's compute step, as an executor-shippable unit of work."""
     i, edges, gen, compute_fn = task
     out = compute_fn(i, edges, gen)
-    return out, gen
-
-
-def _round_machine_shared(task: tuple) -> tuple:
-    """The zero-copy twin of the round workers above.
-
-    The task ships an :class:`~repro.dist.shm.EdgeHandle` instead of the
-    machine's edge array; the worker maps the shared segment read-only and
-    runs the round function over the view in place.  Mapping lifetime is
-    reference-counted: dropping the local view releases the segment unless
-    the round's output aliases its input, which keeps it alive exactly as
-    long as the result needs.
-    """
-    i, handle, gen, round_fn = task
-    attachment = open_edges(handle)
-    edges = attachment.array
-    try:
-        out = round_fn(i, edges, gen)
-    finally:
-        del edges
-        attachment.release()
     return out, gen
 
 
@@ -160,13 +138,6 @@ class MapReduceSimulator:
         here (name/``None``) is owned by the simulator and released by
         :meth:`close` (simulators are context managers); a passed-in
         instance stays open for the caller to reuse.
-    transfer:
-        How per-machine edge arrays reach round workers: ``"pickle"``
-        (serialized per task — the default) or ``"shared"`` (each round's
-        arrays are written once into a shared-memory segment and workers
-        map read-only views; see :mod:`repro.dist.shm`).  ``None``
-        resolves from ``$REPRO_TRANSFER``.  Outputs are bit-identical
-        across modes.
     """
 
     def __init__(
@@ -176,7 +147,6 @@ class MapReduceSimulator:
         rng: RandomState = None,
         memory_cap_edges: Optional[int] = None,
         executor: ExecutorSpec = None,
-        transfer: Optional[str] = None,
     ) -> None:
         if n_vertices < 0:
             raise ValueError(
@@ -193,7 +163,6 @@ class MapReduceSimulator:
         self.memory_cap_edges = memory_cap_edges
         self.executor = resolve_executor(executor)
         self._owns_executor = not isinstance(executor, Executor)
-        self.transfer = resolve_transfer(transfer)
         self._machine_gens = spawn_generators(rng, self.k)
         self._edges: List[np.ndarray] = [
             np.zeros((0, 2), dtype=np.int64) for _ in range(self.k)
@@ -357,27 +326,17 @@ class MapReduceSimulator:
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
-    def _run_round(self, round_fn: Any, pickle_worker: Any) -> List[tuple]:
+    def _run_round(self, round_fn: Any, worker: Any) -> List[tuple]:
         """Fan one round's per-machine work out on the configured backend.
 
-        With ``transfer="shared"`` the round's edge arrays are packed into
-        one shared segment and workers receive handles; the store lives
-        exactly as long as the barrier.  Either way results come back as
-        ``(output, generator)`` pairs in machine-index order.
+        Each machine's edge array is pickled into its task; results come
+        back as ``(output, generator)`` pairs in machine-index order.
         """
-        if self.transfer == "shared":
-            with SharedEdgeStore() as store:
-                handles = store.put_arrays(self._edges)
-                tasks = [
-                    (i, handles[i], self._machine_gens[i], round_fn)
-                    for i in range(self.k)
-                ]
-                return self.executor.map(_round_machine_shared, tasks)
         tasks = [
             (i, self._edges[i], self._machine_gens[i], round_fn)
             for i in range(self.k)
         ]
-        return self.executor.map(pickle_worker, tasks)
+        return self.executor.map(worker, tasks)
 
     def _validate_edges(self, edges: np.ndarray, owner: int) -> np.ndarray:
         arr = np.asarray(edges, dtype=np.int64)

@@ -38,16 +38,14 @@ Robustness primitives the in-process backends never needed:
 Piece transfer
 --------------
 Shipping a graph piece inside every task pickles the same bytes once per
-barrier per task — the remote analogue of the problem
-:class:`~repro.dist.shm.SharedEdgeStore` solves locally.  The
-:class:`RemotePieceCache` removes it at the wire: when a task is
+barrier per task, and over a socket those bytes cross the network.  The
+:class:`RemotePieceCache` removes the repeats at the wire: when a task is
 serialized, every :class:`~repro.graph.edgelist.Graph` above a size
 threshold is replaced by its **content digest** (via the pickle
 ``persistent_id`` hook); a worker that has not seen the digest sends one
 ``fetch`` frame, receives the payload once, and **pins** it for every
 later task — so repeated barriers over the same partition ship each
-piece's bytes at most once per worker, like ``SharedPartitionView`` ships
-them once per host.
+piece's bytes at most once per worker.
 
 Lifecycle
 ---------
@@ -229,9 +227,7 @@ class RemotePieceCache:
     sha256 digest of their pickled payload (:class:`_CachingPickler`); the
     payload itself is stored here exactly once per distinct content.
     Workers resolve a digest they have not pinned with one ``fetch``
-    round-trip and keep the object for every later task — the remote
-    analogue of :class:`~repro.dist.shm.SharedPartitionView`, with content
-    digests playing the role segment names play locally.
+    round-trip and keep the object for every later task.
 
     Counters (``pieces_stored`` / ``store_hits`` / ``fetches_served`` /
     ``bytes_stored`` / ``bytes_shipped``) let tests and ``repro bench``

@@ -1,40 +1,35 @@
-"""Zero-copy piece transfer: shared-memory edge segments and their handles.
+"""Shared-memory edge segments and their handles.
 
-The ``processes`` executor pickles every task into a worker — for a graph
-piece that means serializing the edge array in the parent, shipping the
-bytes through a pipe, and materializing a copy in the worker, every round.
-For the stock benchmark sizes that serialization rivals the per-machine
-compute itself.  :class:`SharedEdgeStore` removes it: the parent writes a
-partition's edge arrays into **one** ``multiprocessing.shared_memory``
-segment (or a memory-mapped temp file where POSIX shared memory is
-unavailable), ships only lightweight :class:`EdgeHandle` records —
-``(backend, name, offset, rows)`` plus graph metadata — and workers
-reconstruct read-only numpy views *in place*, no copy on either side.
+``repro serve`` keeps every registered graph resident for its whole
+lifetime.  With a process pool, pickling that graph into every request's
+task would copy the whole edge array per request, so the server *pins* it
+instead: :class:`SharedEdgeStore` writes the edge array once into a
+``multiprocessing.shared_memory`` segment (or a memory-mapped temp file
+where POSIX shared memory is unavailable), each task carries only a
+lightweight :class:`EdgeHandle` — ``(backend, name, offset, rows)`` plus
+graph metadata — and workers reconstruct a read-only graph view *in
+place*, no copy on either side.  A reconstructed view is bit-identical to
+the array that was stored (covered by ``tests/test_dist_shm.py``).
 
-Determinism is untouched: a reconstructed view is bit-identical to the
-array that was stored (covered by ``tests/test_dist_shm.py``), so
-``transfer="shared"`` composes with every executor backend under the same
-per-seed contract as pickled transfer (``docs/PARALLELISM.md`` §6).
+The engines themselves always pickle pieces into tasks: a fresh partition
+per solve gains nothing from a segment it packs once and reads once
+(``docs/PARALLELISM.md`` §6 has the measurement).
 
 Lifecycle
 ---------
-The *owner* (the engine that built the store) unlinks all segments in
-:meth:`SharedEdgeStore.close` — stores are context managers and engines
-close them right after the barrier, when every worker result has already
-been collected.  Workers attach per task via :func:`open_edges` /
+The *owner* (the server's graph store) unlinks all segments in
+:meth:`SharedEdgeStore.close` — stores are context managers, and close is
+idempotent.  Workers attach per task via :func:`open_edges` /
 :func:`open_graph`; attachment lifetime is reference-counted through the
 numpy base chain, so a worker's mapping disappears when its last view
 dies — normally at the end of the task, or exactly as late as a result
-that aliases the piece requires.  If the owner dies without closing, the
+that aliases the graph requires.  If the owner dies without closing, the
 interpreter's resource tracker reclaims shm segments and the OS reclaims
 temp files — a worker crash therefore cannot leak segments past the
 owning process.
 
-Selection
----------
-``resolve_transfer`` mirrors ``resolve_executor``: explicit argument wins,
-then ``$REPRO_TRANSFER``, default ``"pickle"``.  The segment backend
-follows ``$REPRO_SHM_BACKEND`` (``shm`` where available, else ``mmap``).
+The segment backend follows ``$REPRO_SHM_BACKEND`` (``shm`` where
+available, else ``mmap``).
 """
 
 from __future__ import annotations
@@ -57,21 +52,14 @@ except ImportError:  # pragma: no cover - exotic platforms only
 
 __all__ = [
     "SHM_BACKEND_ENV",
-    "TRANSFER_ENV",
     "AttachedEdges",
     "EdgeHandle",
     "SharedEdgeStore",
-    "SharedPartitionView",
     "SharedStoreClosedError",
-    "available_transfer_modes",
     "open_edges",
     "open_graph",
-    "resolve_transfer",
 ]
 
-#: Environment variable selecting the default piece-transfer mode
-#: (``pickle`` if unset; ``shared`` enables the zero-copy path).
-TRANSFER_ENV = "REPRO_TRANSFER"
 #: Environment variable forcing the segment backend (``shm`` or ``mmap``).
 SHM_BACKEND_ENV = "REPRO_SHM_BACKEND"
 
@@ -81,25 +69,6 @@ _ROW_BYTES = 2 * np.dtype(_EDGE_DTYPE).itemsize
 
 class SharedStoreClosedError(RuntimeError):
     """A :class:`SharedEdgeStore` was used after :meth:`~SharedEdgeStore.close`."""
-
-
-def available_transfer_modes() -> tuple:
-    """The piece-transfer modes engines accept, in preference order."""
-    return ("pickle", "shared")
-
-
-def resolve_transfer(mode: Optional[str] = None) -> str:
-    """Resolve a transfer mode: explicit argument, ``$REPRO_TRANSFER``,
-    default ``"pickle"``."""
-    if mode is None:
-        mode = os.environ.get(TRANSFER_ENV, "pickle")
-    name = str(mode).strip().lower()
-    if name not in available_transfer_modes():
-        raise ValueError(
-            f"unknown transfer mode {mode!r}; available: "
-            f"{', '.join(available_transfer_modes())}"
-        )
-    return name
 
 
 def _default_backend() -> str:
@@ -127,8 +96,8 @@ class EdgeHandle:
     """A picklable pointer to one edge array inside a shared segment.
 
     This is what crosses the process boundary instead of the array: a few
-    scalars, regardless of how many edges the piece holds.  ``sides``
-    carries the bipartition (``n_left``, ``n_right``) when the piece came
+    scalars, regardless of how many edges the array holds.  ``sides``
+    carries the bipartition (``n_left``, ``n_right``) when the edges came
     from a :class:`~repro.graph.bipartite.BipartiteGraph`, so
     :func:`open_graph` reconstructs the right graph type.
     """
@@ -153,7 +122,7 @@ class AttachedEdges:
     owned by the numpy base chain (the ``mmap`` object under ``array``),
     so it is unmapped exactly when the last view dies — whether that is
     at :meth:`release`, or later because the task's *result* aliased the
-    piece.  An explicit ``close()`` would be unsound here: numpy holds a
+    array.  An explicit ``close()`` would be unsound here: numpy holds a
     raw pointer without a registered buffer export, so closing a mapping
     that a live result still views would not fail loudly, it would
     segfault the worker.
@@ -163,7 +132,7 @@ class AttachedEdges:
         self.array: Optional[np.ndarray] = array
 
     def graph(self, handle: EdgeHandle) -> Graph:
-        """Reconstruct the piece as a read-only graph view (no copy)."""
+        """Reconstruct the edges as a read-only graph view (no copy)."""
         assert self.array is not None, "attachment already released"
         if handle.sides is not None:
             n_left, n_right = handle.sides
@@ -174,7 +143,7 @@ class AttachedEdges:
         """Drop this attachment's reference to the mapping.
 
         The segment is unmapped as soon as no other array references it;
-        results that alias the piece keep it alive exactly as long as
+        results that alias the array keep it alive exactly as long as
         they need it.
         """
         self.array = None
@@ -279,9 +248,9 @@ class SharedEdgeStore:
     """Owner of shared edge segments: put arrays in, hand out handles.
 
     One :meth:`put_arrays` call packs any number of edge arrays into a
-    single segment (one allocation, one handle family); :meth:`put_pieces`
-    does the same for a partitioned graph, carrying the vertex metadata
-    workers need to rebuild :class:`~repro.graph.edgelist.Graph` views.
+    single segment (one allocation, one handle family); :meth:`put_graph`
+    shares one graph's edges together with the vertex metadata workers
+    need to rebuild :class:`~repro.graph.edgelist.Graph` views.
 
     The store is a context manager; :meth:`close` unlinks every segment it
     created and is idempotent.  ``put_*`` after ``close`` raises
@@ -325,7 +294,7 @@ class SharedEdgeStore:
     ) -> List[EdgeHandle]:
         """Copy ``(m_i, 2)`` edge arrays into one shared segment.
 
-        This is the single copy the transfer ever makes: workers map the
+        This is the single copy sharing ever makes: workers map the
         segment directly.  Returns one :class:`EdgeHandle` per input array,
         in order.  Empty arrays get a zero-row handle with no backing
         segment at all.
@@ -364,22 +333,6 @@ class SharedEdgeStore:
         """Share one graph's canonical edge array, with its metadata."""
         return self.put_edges(graph.edges, graph.n_vertices,
                               self._graph_sides(graph))
-
-    def put_pieces(self, partition: Any) -> List[EdgeHandle]:
-        """Share every piece of a partitioned graph in one segment.
-
-        Uses :meth:`~repro.graph.partition.PartitionedGraph.piece_edge_arrays`
-        (one vectorized pass over the whole edge list) when the partition
-        provides it, falling back to per-piece materialization otherwise
-        (e.g. the overlapping pieces of a vertex partition).
-        """
-        graph = partition.graph
-        if hasattr(partition, "piece_edge_arrays"):
-            arrays = partition.piece_edge_arrays()
-        else:
-            arrays = [partition.piece(i).edges for i in range(partition.k)]
-        return self.put_arrays(arrays, graph.n_vertices,
-                               self._graph_sides(graph))
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:
@@ -443,60 +396,3 @@ class SharedEdgeStore:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "closed" if self._closed else f"{len(self._segments)} segment(s)"
         return f"SharedEdgeStore(backend={self.backend!r}, {state})"
-
-
-class SharedPartitionView:
-    """A partitioned graph whose pieces are *pinned* in shared memory.
-
-    :func:`~repro.dist.coordinator.run_simultaneous` with
-    ``transfer="shared"`` packs the partition into a fresh segment on
-    every call — correct, but the pack (sort + copy) then dominates the
-    per-barrier overhead.  Pieces never change between barriers over the
-    same partition, so this view pays the pack **once** and exposes the
-    resulting :attr:`piece_handles` for every subsequent run; engines
-    that find handles on their partition skip packing entirely and ship
-    only the handles.  Pair it with a persistent executor to amortize
-    both pool start-up and piece serialization across a whole sweep::
-
-        with ProcessExecutor(8) as pool, SharedPartitionView(part) as shared:
-            for seed in seeds:
-                run_simultaneous(proto, shared, seed, executor=pool,
-                                 transfer="shared")
-
-    The view satisfies the partitioned-graph protocol (``graph``, ``k``,
-    ``piece``) by delegation, so it drops into any ``partition=`` seat —
-    including ``transfer="pickle"`` paths, which simply ignore the
-    handles.
-    """
-
-    def __init__(self, partition: Any,
-                 store: Optional[SharedEdgeStore] = None) -> None:
-        self._owns_store = store is None
-        self.store = SharedEdgeStore() if store is None else store
-        self.partition = partition
-        self.graph: Graph = partition.graph
-        self.k: int = partition.k
-        self.piece_handles: List[EdgeHandle] = self.store.put_pieces(partition)
-
-    def piece(self, i: int) -> Graph:
-        """Parent-side piece materialization (delegates to the partition)."""
-        return self.partition.piece(i)
-
-    @property
-    def closed(self) -> bool:
-        return self.store.closed
-
-    def close(self) -> None:
-        """Release the pinned segment (only if this view created the store)."""
-        if self._owns_store:
-            self.store.close()
-
-    def __enter__(self) -> "SharedPartitionView":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"SharedPartitionView(k={self.k}, "
-                f"n_edges={self.graph.n_edges}, store={self.store!r})")

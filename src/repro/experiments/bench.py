@@ -1,7 +1,7 @@
 """The substrate performance harness behind ``repro bench``.
 
 Every claim the executor substrate makes — persistent pools beat per-call
-pools, shared-memory piece transfer beats pickled transfer, the greedy
+pools, the remote piece cache ships each piece once per worker, the greedy
 scan rewrite beats the list-append scan — is measured here, on the same
 scenario sizes the experiment suite uses (E1's small grids, E8's MapReduce
 workload, E21's parallel-scaling size), and written to a structured
@@ -25,17 +25,6 @@ The sections:
     measured — real-workload backend scaling is E21's table, not this
     one.  Every variant's outputs are asserted bit-identical to serial
     before its row is recorded.
-
-``piece_transfer``
-    Transfer *overhead* isolated: the same persistent process pool runs a
-    probe protocol whose per-machine compute is one pass over the piece
-    (a checksum — every byte is touched, so both modes really move the
-    data) and whose messages are tiny.  What remains of the barrier is
-    the cost of getting pieces to workers: pickled into each task, vs
-    mapped from a :class:`~repro.dist.shm.SharedEdgeStore` segment
-    (``transfer="shared"``).  The real-workload rounds in
-    ``pool_lifecycle`` would hide a ~10ms transfer delta under ~300ms of
-    matching compute; the probe is what makes the overhead measurable.
 
 ``matching_scan``
     The sequential greedy-matching scan
@@ -140,18 +129,12 @@ def _warm_task(x):
 def _global_warmup(workers: int) -> None:
     """Pay every one-time cost before anything is timed.
 
-    Creating the first shared-memory segment spawns the multiprocessing
-    resource tracker, and the first process pool primes fork/import
-    machinery; both are per-interpreter costs that would otherwise land
-    inside whichever timed loop happened to run first and skew that one
-    variant.  (Order matters: tracker first, so every pool's workers fork
-    with it inherited.)
+    The first process pool primes fork/import machinery, a per-interpreter
+    cost that would otherwise land inside whichever timed loop happened to
+    run first and skew that one variant.
     """
     from repro.dist.executor import ProcessExecutor
-    from repro.dist.shm import SharedEdgeStore
 
-    with SharedEdgeStore() as store:
-        store.put_arrays([np.zeros((4, 2), dtype=np.int64)])
     with ProcessExecutor(max_workers=workers) as pool:
         pool.map(_warm_task, list(range(max(2, workers))))
 
@@ -181,9 +164,8 @@ def _run_pool_lifecycle(
         repeats = repeats_override or max(scenario["repeats"], 10)
         seed = 42
 
-        def run(executor, transfer="pickle"):
-            return run_simultaneous(proto, part, seed, executor=executor,
-                                    transfer=transfer)
+        def run(executor):
+            return run_simultaneous(proto, part, seed, executor=executor)
 
         reference = run("serial").output
 
@@ -239,15 +221,13 @@ def _probe_protocol():
 def _probe_summarize(piece, machine_index, rng, public=None):
     """Checksum the piece (touching every edge byte) and reply tiny.
 
-    Module-level so the ``processes`` backend can pickle it.  The one-row
-    message is copied out of the piece so it never aliases a shared
-    segment (workers can release their attachments each round).
+    Module-level so the ``processes`` backend can pickle it.
     """
     from repro.dist.message import Message
 
     edges = piece.edges
     # One full pass over the data, echoed in the reply so it cannot be
-    # skipped: both transfer modes must actually deliver every byte.
+    # skipped: the pickled piece must actually deliver every byte.
     checksum = int(edges.sum()) % max(piece.n_vertices, 1) if edges.size else 0
     probe = np.array([[0, checksum]], dtype=np.int64)
     return Message(sender=machine_index, edges=probe)
@@ -255,65 +235,6 @@ def _probe_summarize(piece, machine_index, rng, public=None):
 
 def _probe_combine(coordinator, messages):
     return np.vstack([m.edges for m in messages]) if messages else None
-
-
-def _run_piece_transfer(
-    scenarios: Sequence[Dict[str, Any]], workers: int, repeats_override: Optional[int]
-) -> List[Dict[str, Any]]:
-    from repro.dist.coordinator import run_simultaneous
-    from repro.dist.executor import ProcessExecutor
-
-    from repro.dist.shm import SharedPartitionView
-
-    proto = _probe_protocol()
-    rows: List[Dict[str, Any]] = []
-    for scenario in scenarios:
-        part = _build_workload(scenario)
-        repeats = repeats_override or scenario["repeats"]
-        seed = 43
-
-        def run(executor, transfer, partition=part):
-            return run_simultaneous(proto, partition, seed,
-                                    executor=executor, transfer=transfer)
-
-        reference = run("serial", "pickle").output
-        serial_total = _time_rounds(lambda: run("serial", "pickle"), repeats)
-
-        def record(transfer_label, total, identical):
-            rows.append(dict(
-                scenario=scenario["name"],
-                transfer=transfer_label,
-                rounds=repeats,
-                total_edge_bytes=int(part.graph.edge_nbytes),
-                per_round_s=round(total / repeats, 6),
-                overhead_vs_serial_s=round(
-                    (total - serial_total) / repeats, 6),
-                identical=identical,
-            ))
-
-        with ProcessExecutor(max_workers=workers) as pool:
-            for transfer in ("pickle", "shared"):
-                run(pool, transfer)  # steady-state warmup, untimed
-                total = _time_rounds(lambda: run(pool, transfer), repeats)
-                record(
-                    transfer if transfer == "pickle" else "shared-ephemeral",
-                    total,
-                    bool(np.array_equal(run(pool, transfer).output,
-                                        reference)),
-                )
-            # The pay-once path: pieces pinned in one segment, handles
-            # reused by every barrier — the deployment shape of a sweep.
-            with SharedPartitionView(part) as pinned:
-                run(pool, "shared", pinned)  # warmup, untimed
-                total = _time_rounds(
-                    lambda: run(pool, "shared", pinned), repeats)
-                record(
-                    "shared-persistent",
-                    total,
-                    bool(np.array_equal(run(pool, "shared", pinned).output,
-                                        reference)),
-                )
-    return rows
 
 
 # --------------------------------------------------------------------- #
@@ -477,7 +398,7 @@ def run_substrate_bench(
     repeats: Optional[int] = None,
     out: Optional[str | Path] = None,
 ) -> Dict[str, Any]:
-    """Run all three sections and (optionally) write the JSON artifact."""
+    """Run every section and (optionally) write the JSON artifact."""
     if mode not in _SCENARIOS:
         raise ValueError(f"mode must be one of {sorted(_SCENARIOS)}, "
                          f"got {mode!r}")
@@ -486,14 +407,12 @@ def run_substrate_bench(
 
     _global_warmup(workers)
     pool_rows = _run_pool_lifecycle(scenarios, workers, repeats)
-    transfer_rows = _run_piece_transfer(scenarios, workers, repeats)
     scan_rows = _run_matching_scan(mode)
     facade_rows = _run_solver_facade(scenarios[0], repeats)
     remote_rows = _run_remote_exec(scenarios[0], workers, repeats)
 
-    largest = scenarios[-1]["name"]
-    checks = _evaluate_checks(pool_rows, transfer_rows, scan_rows, largest,
-                              facade_rows, remote_rows)
+    checks = _evaluate_checks(pool_rows, scan_rows, facade_rows,
+                              remote_rows)
 
     doc: Dict[str, Any] = {
         "schema_version": BENCH_SCHEMA_VERSION,
@@ -506,7 +425,6 @@ def run_substrate_bench(
             for s in scenarios
         ],
         "pool_lifecycle": pool_rows,
-        "piece_transfer": transfer_rows,
         "matching_scan": scan_rows,
         "solver_facade": facade_rows,
         "remote_exec": remote_rows,
@@ -519,9 +437,7 @@ def run_substrate_bench(
 
 def _evaluate_checks(
     pool_rows: List[Dict[str, Any]],
-    transfer_rows: List[Dict[str, Any]],
     scan_rows: List[Dict[str, Any]],
-    largest_scenario: str,
     facade_rows: List[Dict[str, Any]],
     remote_rows: List[Dict[str, Any]],
 ) -> Dict[str, Any]:
@@ -534,16 +450,6 @@ def _evaluate_checks(
         per[(s, "processes-persistent")] < per[(s, "processes-cold")]
         for s in scenarios
     )
-    shared = {
-        (r["scenario"], r["transfer"]): r["per_round_s"]
-        for r in transfer_rows
-    }
-    # The claim is about the deployment shape: pinned segment + reused
-    # handles vs per-task pickling, at the largest scenario size.
-    shared_faster_at_largest = (
-        shared[(largest_scenario, "shared-persistent")]
-        < shared[(largest_scenario, "pickle")]
-    )
     # Serialize-once, fetch-and-pin: across every barrier of the run each
     # piece was stored exactly once, and shipped at most once per worker.
     cache_bounded = all(
@@ -554,11 +460,8 @@ def _evaluate_checks(
     )
     return {
         "persistent_pool_faster_than_cold": bool(persistent_faster),
-        "shared_transfer_lower_overhead_at_largest": bool(
-            shared_faster_at_largest),
         "all_outputs_identical": bool(
             all(r["identical"] for r in pool_rows)
-            and all(r["identical"] for r in transfer_rows)
             and all(r["identical"] for r in scan_rows)
             and all(r["identical"] for r in facade_rows)
             and all(r["identical"] for r in remote_rows)
@@ -582,14 +485,6 @@ def _format_summary(doc: Dict[str, Any]) -> str:
         lines.append(
             f"  {r['scenario']:>10s}  {r['variant']:<22s}"
             f"{r['per_round_s']:>10.4f}s  x{r['speedup_vs_serial']:<6.3g}"
-            f"{'' if r['identical'] else '  OUTPUT MISMATCH'}"
-        )
-    lines.append("piece_transfer (per-round seconds, process pool):")
-    for r in doc["piece_transfer"]:
-        lines.append(
-            f"  {r['scenario']:>10s}  {r['transfer']:<22s}"
-            f"{r['per_round_s']:>10.4f}s  overhead "
-            f"{r['overhead_vs_serial_s']:+.4f}s"
             f"{'' if r['identical'] else '  OUTPUT MISMATCH'}"
         )
     lines.append("matching_scan:")
@@ -674,11 +569,6 @@ def run_from_args(args: argparse.Namespace) -> int:
                             "remote_cache_ships_each_piece_once_per_worker")
             if not checks[key]
         ]
-        # The shared-transfer claim is asserted on full runs; quick sizes
-        # are too small for mapping overhead to separate from noise.
-        if doc["mode"] == "full" and not checks[
-                "shared_transfer_lower_overhead_at_largest"]:
-            failed.append("shared_transfer_lower_overhead_at_largest")
         if failed:
             print(f"CHECK FAILED: {', '.join(failed)}", file=sys.stderr)
             return 1
@@ -689,8 +579,9 @@ def run_from_args(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro bench",
-        description="Time the executor substrate (pool lifecycle, piece "
-                    "transfer, greedy scan) and write BENCH_substrate.json",
+        description="Time the executor substrate (pool lifecycle, greedy "
+                    "scan, solver facade, remote backend) and write "
+                    "BENCH_substrate.json",
     )
     add_bench_arguments(parser)
     args = parser.parse_args(argv)

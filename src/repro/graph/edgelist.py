@@ -84,7 +84,7 @@ class Graph:
 
         The counterpart of :attr:`edges`: ``Graph.from_canonical_edges(g.n_vertices,
         g.edges)`` equals ``g`` without touching a single edge byte.  Used by
-        :mod:`repro.dist.shm` to rebuild piece views over shared-memory
+        :mod:`repro.dist.shm` to rebuild graph views over shared-memory
         buffers in worker processes — the array must already be in the
         canonical ``u < v``, key-sorted, deduplicated form this class
         maintains (anything exported via :attr:`edges` qualifies).

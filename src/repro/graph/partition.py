@@ -71,9 +71,8 @@ class PartitionedGraph:
         ``piece(i)`` scans the full assignment once *per machine* — O(k·m)
         to materialize everything.  This method sorts the edge list by
         machine once (a stable argsort, so each machine's edges keep the
-        canonical order ``piece(i).edges`` would have) and slices it, which
-        is how :class:`~repro.dist.shm.SharedEdgeStore` packs a whole
-        partition into one contiguous shared segment.  Entry ``i`` is
+        canonical order ``piece(i).edges`` would have) and slices it — one
+        O(m log m) pass instead of k masked scans.  Entry ``i`` is
         bit-identical to ``piece(i).edges``.
         """
         order = np.argsort(self.assignment, kind="stable")

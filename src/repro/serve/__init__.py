@@ -1,7 +1,7 @@
 """``repro.serve`` — the library's solvers behind a long-lived HTTP API.
 
 ``repro solve`` pays its full cost on every invocation: import, graph
-load, pool start-up, partition pack.  This package keeps all of that
+load, pool start-up, partitioning.  This package keeps all of that
 warm in one process — graphs pinned in a :class:`~repro.serve.store.
 GraphStore`, a persistent executor pool, concurrent requests micro-
 batched into single barriers (:mod:`repro.serve.batcher`) — behind a

@@ -129,9 +129,8 @@ class ServeConfig:
 
     ``executor=None`` resolves ``$REPRO_EXECUTOR`` and falls back to
     ``"threads"`` — serving wants a warm in-process pool by default, not
-    the library-wide serial default.  ``pin`` controls shared-memory graph
-    pinning: ``"auto"`` pins exactly when the pool is a process pool,
-    ``"always"``/``"never"`` force it.
+    the library-wide serial default.  Graphs are pinned in shared memory
+    exactly when the pool is a process pool.
 
     The overload knobs (PR 9): ``max_inflight`` / ``max_inflight_per_graph``
     cap admitted requests (0 disables the per-graph cap), ``max_queue``
@@ -149,7 +148,6 @@ class ServeConfig:
     batch_window_ms: float = 5.0
     max_batch: int = 32
     max_body_bytes: int = 8 * 1024 * 1024
-    pin: str = "auto"
     preload: Tuple[Tuple[str, str], ...] = ()
     seed: int = 0
     max_inflight: int = 64
@@ -171,10 +169,6 @@ class ReproServer:
                  **overrides: Any) -> None:
         self.config = config if config is not None else ServeConfig(**overrides)
         cfg = self.config
-        if cfg.pin not in ("auto", "always", "never"):
-            raise ValueError(
-                f"pin must be auto/always/never, got {cfg.pin!r}"
-            )
         if cfg.default_deadline_ms is not None and cfg.default_deadline_ms <= 0:
             raise ValueError(
                 f"default_deadline_ms must be > 0 or None, "
@@ -194,13 +188,10 @@ class ReproServer:
             cfg.executor or os.environ.get(EXECUTOR_ENV) or "threads"
         )
         executor = resolve_executor(self.executor_name, workers=cfg.workers)
-        # Handles (shared segments) ship to process pools; in-process pools
-        # share the graph object itself and additionally reuse pinned
-        # partition views across requests with the same (k, seed).
-        self.ship_handles = (
-            cfg.pin == "always"
-            or (cfg.pin == "auto" and isinstance(executor, ProcessExecutor))
-        )
+        # Handles (shared segments) ship to process pools; every other
+        # pool shares the graph object itself and additionally reuses
+        # cached partition views across requests with the same (k, seed).
+        self.ship_handles = isinstance(executor, ProcessExecutor)
         # The supervisor owns the live executor from here on: it re-warms
         # after pool breaks, opens the circuit breaker on a run of them,
         # and may step the backend down (remote → processes → serial).
@@ -633,8 +624,9 @@ class ReproServer:
         return budget_ms, time.monotonic() + budget_s, time.time() + budget_s
 
     def _wants_view(self, spec: SolverSpec, task: SolveTask) -> bool:
-        # Partition pinning rides the in-process path only: process workers
-        # rebuild the partition from the seed (bit-identical by contract).
+        # Partition views ride with the graph object only: handle-shipping
+        # workers rebuild the partition from the seed (bit-identical by
+        # contract).
         return (task.graph is not None and spec.model == "coreset"
                 and "partition" in spec.params and task.k is not None)
 
@@ -642,23 +634,16 @@ class ReproServer:
                       task: SolveTask,
                       deadline: Optional[float] = None,
                       deadline_ms: Optional[float] = None) -> Dict[str, Any]:
-        loop = asyncio.get_running_loop()
-        leased = False
-        try:
-            if self._wants_view(spec, task):
-                view = await loop.run_in_executor(
-                    None, self.store.lease_view, pg, task.k, task.seed
-                )
-                leased = True
-                task = replace(task, partition=view)
-            payload = await self.batcher.submit(
-                pg.graph_id, task, deadline=deadline, deadline_ms=deadline_ms
+        if self._wants_view(spec, task):
+            view = await asyncio.get_running_loop().run_in_executor(
+                None, self.store.lease_view, pg, task.k, task.seed
             )
-            pg.solves += 1
-            return payload
-        finally:
-            if leased:
-                self.store.release_view(pg, task.k, task.seed)
+            task = replace(task, partition=view)
+        payload = await self.batcher.submit(
+            pg.graph_id, task, deadline=deadline, deadline_ms=deadline_ms
+        )
+        pg.solves += 1
+        return payload
 
     async def _do_solve(self, req: SolveRequest) -> Dict[str, Any]:
         self.admission.acquire(req.graph_id)

@@ -168,11 +168,11 @@ def _params(doc: Dict[str, Any], where: str) -> Dict[str, Any]:
             raise BadRequest(f"{where} params keys must be strings",
                              field="params")
         if key == "partition":
-            # The partition seat is the server's own (it carries the pinned
-            # SharedPartitionView); a client must not reach into it.
+            # The partition seat is the server's own (it carries the cached
+            # partition view); a client must not reach into it.
             raise BadRequest(
                 "the 'partition' parameter is managed by the server "
-                "(graph pinning) and cannot be set per request",
+                "(partition-view cache) and cannot be set per request",
                 field="params",
             )
         if value is not None and not isinstance(value, (str, int, float,

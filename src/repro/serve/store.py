@@ -5,22 +5,24 @@ graph is loaded once (at startup via ``--graph`` or at runtime via
 ``POST /graphs``) and *pinned*: when the worker pool runs in separate
 processes, the edge array is packed into one shared-memory segment up
 front, so each request ships a tiny :class:`~repro.dist.shm.EdgeHandle`
-instead of re-pickling the edges — the serving-layer analogue of
-``SharedPartitionView``'s pay-once contract.
+instead of re-pickling the whole graph.
 
 On top of the graphs sits a small LRU of **partition views**: coreset
-solvers derive their k-partition from ``(seed, k)``, so for in-process
-pools the store builds ``random_k_partition`` once per ``(graph, k,
-seed)``, wraps it in a :class:`~repro.dist.shm.SharedPartitionView`, and
-hands the same view to every request that repeats the triple — which is
-exactly what a micro-batch of identical requests does.  The partition rng
-is re-derived from ``RunContext(seed, k).generators(2)[0]`` (the stream
-the adapter itself would draw), so a cached view is bit-identical to the
-partition an unpinned solve would have built.
+solvers derive their k-partition from ``(seed, k)``, so whenever tasks
+carry the graph object (every pool but a process pool) the store builds
+``random_k_partition`` once per ``(graph, k, seed)`` and hands the same
+:class:`~repro.graph.partition.PartitionedGraph` to every request that
+repeats the triple — which is exactly what a micro-batch of identical
+requests does.  The partition rng is re-derived from
+``RunContext(seed, k).generators(2)[0]`` (the stream the adapter itself
+would draw), so a cached view is bit-identical to the partition an
+uncached solve would have built.  A view is a plain in-memory object, so
+the cache needs no leases: evicting one drops only the cache's
+reference, never a running solve's.
 
 Unpinning is refcounted and never yanks memory from under a request:
 ``unregister`` retires the graph immediately (new requests 404) but
-defers closing segments until every in-flight lease is released — and
+defers closing its segment until every in-flight lease is released — and
 POSIX keeps existing mappings valid past unlink anyway, so even a racing
 worker cannot fault.  ``tests/test_serve_faults.py`` hammers exactly
 this path.
@@ -35,21 +37,13 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.dist.shm import EdgeHandle, SharedEdgeStore, SharedPartitionView
+from repro.dist.shm import EdgeHandle, SharedEdgeStore
 from repro.graph.bipartite import BipartiteGraph
+from repro.graph.partition import PartitionedGraph, random_k_partition
 from repro.graph.weights import WeightedGraph
 from repro.serve.protocol import Conflict, NotFound
 
 __all__ = ["GraphStore", "PinnedGraph"]
-
-
-@dataclass
-class _CachedView:
-    """One partition view plus its lease count."""
-
-    view: SharedPartitionView
-    refs: int = 0
-    retired: bool = False
 
 
 @dataclass
@@ -66,7 +60,7 @@ class PinnedGraph:
     refs: int = 0
     retired: bool = False
     solves: int = 0
-    views: "OrderedDict[Tuple[int, int], _CachedView]" = field(
+    views: "OrderedDict[Tuple[int, int], PartitionedGraph]" = field(
         default_factory=OrderedDict
     )
 
@@ -151,7 +145,7 @@ class GraphStore:
         return pg
 
     def unregister(self, graph_id: str) -> Dict[str, Any]:
-        """Retire a graph: 404 for new requests, segments freed once the
+        """Retire a graph: 404 for new requests, its segment freed once the
         last in-flight lease drains (existing mappings stay valid)."""
         with self._lock:
             pg = self._graphs.pop(graph_id, None)
@@ -160,13 +154,7 @@ class GraphStore:
                                graph=graph_id)
             pg.retired = True
             info = pg.info()
-            for key in list(pg.views):
-                cv = pg.views[key]
-                if cv.refs == 0:
-                    del pg.views[key]
-                    cv.view.close()
-                else:
-                    cv.retired = True
+            pg.views.clear()
             if pg.refs == 0:
                 self._finalize(pg)
         return info
@@ -212,9 +200,9 @@ class GraphStore:
     # partition views
     # ------------------------------------------------------------------ #
     def lease_view(self, pg: PinnedGraph, k: int,
-                   seed: int) -> SharedPartitionView:
-        """The pinned partition view for ``(pg, k, seed)``, building it on
-        first use; pair with :meth:`release_view`.
+                   seed: int) -> PartitionedGraph:
+        """The cached partition view for ``(pg, k, seed)``, building it on
+        first use.
 
         The partition is derived exactly as the coreset adapters derive it
         — stream 0 of ``RunContext(seed, k).generators(2)`` feeding
@@ -224,63 +212,28 @@ class GraphStore:
         """
         key = (int(k), int(seed))
         with self._lock:
-            cv = pg.views.get(key)
-            if cv is not None:
+            view = pg.views.get(key)
+            if view is not None:
                 pg.views.move_to_end(key)
-                cv.refs += 1
                 self.view_hits += 1
-                return cv.view
+                return view
         # Build outside the lock: partitioning is O(m) and must not stall
         # unrelated requests.
-        from repro.graph.partition import random_k_partition
         from repro.solve.context import RunContext
 
         rng = RunContext(seed=seed, k=k).generators(2)[0]
-        view = SharedPartitionView(random_k_partition(pg.graph, k, rng))
+        view = random_k_partition(pg.graph, k, rng)
         with self._lock:
-            cv = pg.views.get(key)
-            if cv is not None:  # lost a build race; use the winner's view
-                view.close()
+            winner = pg.views.get(key)
+            if winner is not None:  # lost a build race; use the winner's
                 pg.views.move_to_end(key)
-                cv.refs += 1
                 self.view_hits += 1
-                return cv.view
-            if pg.retired:
-                view.close()
-                raise NotFound(
-                    f"graph {pg.graph_id!r} was unregistered",
-                    graph=pg.graph_id,
-                )
-            pg.views[key] = _CachedView(view=view, refs=1)
+                return winner
+            pg.views[key] = view
             self.views_created += 1
-            self._evict_views(pg)
+            while len(pg.views) > self.max_views_per_graph:
+                pg.views.popitem(last=False)
             return view
-
-    def release_view(self, pg: PinnedGraph, k: int, seed: int) -> None:
-        key = (int(k), int(seed))
-        with self._lock:
-            cv = pg.views.get(key)
-            if cv is None:
-                return
-            cv.refs -= 1
-            if cv.retired and cv.refs == 0:
-                del pg.views[key]
-                cv.view.close()
-
-    def _evict_views(self, pg: PinnedGraph) -> None:
-        # Oldest unleased views go first; leased ones are skipped (they
-        # will be considered again on the next insert).
-        excess = len(pg.views) - self.max_views_per_graph
-        if excess <= 0:
-            return
-        for key in list(pg.views):
-            if excess <= 0:
-                break
-            cv = pg.views[key]
-            if cv.refs == 0:
-                del pg.views[key]
-                cv.view.close()
-                excess -= 1
 
     # ------------------------------------------------------------------ #
     def stats(self) -> Dict[str, Any]:
@@ -300,7 +253,5 @@ class GraphStore:
             graphs, self._graphs = list(self._graphs.values()), {}
             for pg in graphs:
                 pg.retired = True
-                for cv in pg.views.values():
-                    cv.view.close()
                 pg.views.clear()
                 self._finalize(pg)

@@ -1,12 +1,13 @@
 """The picklable unit of server work: one solve, shipped to the pool.
 
-A :class:`SolveTask` is what crosses the executor boundary.  In-process
-backends (serial/threads) carry the graph object itself — and, for coreset
-solvers, the pinned :class:`~repro.dist.shm.SharedPartitionView` — by
-reference.  The ``processes`` backend instead ships a lightweight
+A :class:`SolveTask` is what crosses the executor boundary.  The
+``processes`` backend ships a lightweight
 :class:`~repro.dist.shm.EdgeHandle` into the worker, which maps the pinned
 segment zero-copy (plus the weights array for weighted graphs, whose
-weights live outside the edge segment).
+weights live outside the edge segment).  Every other backend carries the
+graph object itself and, for coreset solvers, the server's cached
+:class:`~repro.graph.partition.PartitionedGraph`: by reference on the
+in-process backends, pickled like any task argument on ``remote``.
 
 :func:`run_solve_task` never raises: a solver failure becomes a structured
 ``{"ok": False, "error": ...}`` payload, so the only thing that can fail a
@@ -48,11 +49,11 @@ def warm_worker(i: int) -> int:
 class SolveTask:
     """One fully-resolved solve: solver name, seed/k, graph transport.
 
-    Exactly one of ``graph`` (in-process reference) or ``handle`` (shared
-    segment, for process workers) is set.  ``partition`` rides only on the
-    in-process path — the server's pinned partition view for coreset
-    solvers; process workers rebuild partitions from the seed instead,
-    which is bit-identical by the facade's determinism contract.
+    Exactly one of ``graph`` (the object itself) or ``handle`` (shared
+    segment, for process workers) is set.  ``partition`` rides only with
+    ``graph`` — the server's cached partition view for coreset solvers;
+    process workers rebuild partitions from the seed instead, which is
+    bit-identical by the facade's determinism contract.
     """
 
     graph_id: str

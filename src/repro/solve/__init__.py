@@ -17,8 +17,8 @@ Surface:
 
 * :func:`solve` — run a registered solver, get a uniform
   :class:`SolveResult` (value, certificate, verified flag, stats, timing);
-* :class:`RunContext` — the frozen seed/executor/workers/transfer/k
-  context replacing per-function keyword soup;
+* :class:`RunContext` — the frozen seed/executor/workers/k context
+  replacing per-function keyword soup;
 * :func:`solver` / :func:`get_solver` / :func:`all_solvers` /
   :func:`solvers_for` — the capability-tagged registry
   (``repro solve --list`` on the command line);

@@ -12,7 +12,7 @@ truth for each algorithm — they only normalize three things:
   bit-identical to calling the legacy entry point with the same derived
   generators (``tests/test_solve_api.py`` asserts exactly this equivalence
   for every registered solver);
-* **substrate** — executor/workers/transfer resolve once per solve through
+* **substrate** — executor/workers resolve once per solve through
   ``ctx.executor_scope()``;
 * **metrics** — model-specific result objects (ledgers, MapReduce jobs,
   filtering logs) flatten into the common ``stats`` dict.
@@ -51,8 +51,8 @@ def _run_protocol(protocol, graph, ctx: RunContext, k: int,
 
     Streams: ``(partition_rng, run_rng) = ctx.generators(2)`` — *both*
     drawn even when ``partition`` is supplied, so a pre-built partition
-    (e.g. a pinned :class:`~repro.dist.shm.SharedPartitionView` the
-    serving layer reuses across requests) leaves ``run_rng`` untouched:
+    (e.g. the cached partition view the serving layer reuses across
+    requests) leaves ``run_rng`` untouched:
     supplying the partition ``random_k_partition`` *would* have built is
     bit-identical to letting this function build it.
     """
@@ -80,10 +80,8 @@ def _run_protocol(protocol, graph, ctx: RunContext, k: int,
                 "partition= was built over a different graph"
             )
     with ctx.executor_scope() as backend:
-        res = run_simultaneous(
-            protocol, partition, run_rng,
-            executor=backend, transfer=ctx.transfer,
-        )
+        res = run_simultaneous(protocol, partition, run_rng,
+                               executor=backend)
     stats: Stats = {
         "k": k,
         "protocol": protocol.name,
@@ -371,7 +369,6 @@ def _mapreduce_matching(graph, ctx: RunContext, memory_cap_edges,
             assume_random_input=assume_random_input,
             combiner_algorithm=combiner_algorithm,
             initial_placement=initial_placement, executor=backend,
-            transfer=ctx.transfer,
         )
     stats: Stats = {
         "k": res.k,
@@ -661,7 +658,6 @@ def _mapreduce_vc(graph, ctx: RunContext, memory_cap_edges,
             graph, k=ctx.k, rng=rng, memory_cap_edges=memory_cap_edges,
             assume_random_input=assume_random_input, log_slack=log_slack,
             initial_placement=initial_placement, executor=backend,
-            transfer=ctx.transfer,
         )
     stats: Stats = {
         "k": res.k,

@@ -1,8 +1,8 @@
 """The frozen per-run execution context.
 
 Before this facade existed, every algorithm entry point grew its own
-``rng=`` / ``executor=`` / ``workers=`` / ``transfer=`` / ``k=`` keyword
-soup, each with slightly different resolution rules.  :class:`RunContext`
+``rng=`` / ``executor=`` / ``workers=`` / ``k=`` keyword soup, each with
+slightly different resolution rules.  :class:`RunContext`
 replaces all of them with one immutable, picklable value object:
 
 * **seed** — the single source of randomness for the whole solve, following
@@ -12,12 +12,13 @@ replaces all of them with one immutable, picklable value object:
   the run bit for bit.
 * **k** — machine count for the distributed models (coreset, mapreduce).
   Offline and streaming solvers ignore it.
-* **executor / workers / transfer** — the substrate knobs of
-  :mod:`repro.dist.executor` and :mod:`repro.dist.shm`, resolved through
+* **executor / workers** — the substrate knobs of
+  :mod:`repro.dist.executor`, resolved through
   :meth:`RunContext.executor_scope` with exactly the ownership rules the
-  engines document: a context that *names* a backend owns (and closes) the
-  pool it creates; a context carrying an :class:`~repro.dist.executor.Executor`
-  instance leaves its lifetime to the caller.
+  engines document: a context that *names* a backend owns (and closes)
+  the pool it creates; a context carrying an
+  :class:`~repro.dist.executor.Executor` instance leaves its lifetime to
+  the caller.
 
 The dataclass is frozen so a context can be shared between solvers, hashed
 into cache keys, and shipped to worker processes without aliasing worries.
@@ -59,16 +60,12 @@ class RunContext:
     workers:
         Worker count for thread/process backends (``None`` →
         ``$REPRO_WORKERS`` or the CPU count).
-    transfer:
-        Piece-transfer mode for the simultaneous engine (``"pickle"`` /
-        ``"shared"`` / ``None`` for ``$REPRO_TRANSFER``).
     """
 
     seed: RandomState = None
     k: Optional[int] = None
     executor: ExecutorSpec = None
     workers: Optional[int] = None
-    transfer: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.k is not None and self.k < 1:

@@ -1,10 +1,11 @@
-"""Tests for zero-copy piece transfer: SharedEdgeStore, handles, and the
-``transfer="shared"`` paths of both engines.
+"""Tests for the shared-memory edge store behind ``repro serve``'s graph
+pinning: SharedEdgeStore, its handles, and the partition reuse contract
+the server's view cache relies on.
 
 The load-bearing properties: a round-tripped array is bit-identical to
 what was stored, segments are gone after close() (no leaks, even when a
-worker crashes mid-barrier), and the shared paths obey the same per-seed
-determinism contract as pickled transfer.
+worker crashes mid-barrier), and a partition built once can be handed to
+several solvers without changing any result.
 """
 
 import os
@@ -12,17 +13,12 @@ import os
 import numpy as np
 import pytest
 
-from repro.dist.coordinator import run_simultaneous
 from repro.dist.executor import ProcessExecutor, WorkerPoolBrokenError
-from repro.dist.mapreduce import MapReduceSimulator
 from repro.dist.shm import (
     SharedEdgeStore,
-    SharedPartitionView,
     SharedStoreClosedError,
-    available_transfer_modes,
     open_edges,
     open_graph,
-    resolve_transfer,
 )
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.edgelist import Graph
@@ -88,17 +84,6 @@ class TestRoundTrip:
             assert (rebuilt.n_left, rebuilt.n_right) == (20, 30)
             assert rebuilt == g
             att.release()
-
-    def test_put_pieces_matches_piece_arrays(self):
-        g = gnp(60, 0.15, 9)
-        part = random_k_partition(g, 5, 4)
-        with SharedEdgeStore() as store:
-            handles = store.put_pieces(part)
-            assert len(handles) == 5
-            for i, handle in enumerate(handles):
-                rebuilt, att = open_graph(handle)
-                assert rebuilt == part.piece(i)
-                att.release()
 
     def test_piece_edge_arrays_bit_identical_to_pieces(self):
         g = gnp(80, 0.1, 11)
@@ -173,145 +158,25 @@ class TestStoreLifecycle:
         store.close()
         assert not _segment_exists(store.backend, handle.name)
 
-    def test_shared_partition_view_lifecycle(self):
-        g = gnp(50, 0.15, 21)
-        part = random_k_partition(g, 4, 22)
-        with SharedPartitionView(part) as view:
-            assert view.k == 4 and view.graph is g
-            assert len(view.piece_handles) == 4
-            assert view.piece(2) == part.piece(2)
-            name = next(h.name for h in view.piece_handles if h.n_rows)
-            assert _segment_exists(view.store.backend, name)
-        assert view.closed
-        assert not _segment_exists(view.store.backend, name)
-
 
 # --------------------------------------------------------------------- #
-# transfer resolution
+# partition reuse
 # --------------------------------------------------------------------- #
-class TestResolveTransfer:
-    def test_default_is_pickle(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRANSFER", raising=False)
-        assert resolve_transfer(None) == "pickle"
-
-    def test_env_var(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRANSFER", "shared")
-        assert resolve_transfer(None) == "shared"
-
-    def test_explicit_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRANSFER", "shared")
-        assert resolve_transfer("pickle") == "pickle"
-
-    def test_unknown_rejected(self):
-        with pytest.raises(ValueError, match="unknown transfer"):
-            resolve_transfer("carrier-pigeon")
-
-    def test_modes(self):
-        assert available_transfer_modes() == ("pickle", "shared")
-
-
-# --------------------------------------------------------------------- #
-# engine determinism across transfer modes
-# --------------------------------------------------------------------- #
-def _route_even_k4(i, edges, rng):
-    return rng.integers(0, 4, size=edges.shape[0])
-
-
-def _edges_identity(i, edges, rng):
-    return edges
-
-
 class TestEngineDeterminism:
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
-    def test_run_simultaneous_shared_matches_pickle(self, backend):
-        from repro.core.protocols import matching_coreset_protocol
-
-        g = bipartite_gnp(60, 60, 0.08, 7)
-        part = random_k_partition(g, 4, 8)
-        proto = matching_coreset_protocol()
-        a = run_simultaneous(proto, part, 9, executor="serial",
-                             transfer="pickle")
-        b = run_simultaneous(proto, part, 9, executor=backend,
-                             transfer="shared")
-        np.testing.assert_array_equal(a.output, b.output)
-        assert a.ledger.summary() == b.ledger.summary()
-
-    def test_pinned_view_matches_across_runs(self):
-        from repro.core.protocols import matching_coreset_protocol
-
-        g = bipartite_gnp(50, 50, 0.1, 3)
-        part = random_k_partition(g, 4, 5)
-        proto = matching_coreset_protocol()
-        expected = [
-            run_simultaneous(proto, part, seed, executor="serial").output
-            for seed in (7, 8)
-        ]
-        with ProcessExecutor(max_workers=2) as ex, \
-                SharedPartitionView(part) as view:
-            for seed, want in zip((7, 8), expected):
-                got = run_simultaneous(proto, view, seed, executor=ex,
-                                       transfer="shared").output
-                np.testing.assert_array_equal(want, got)
-
-    @pytest.mark.parametrize("backend", ["serial", "threads", "processes"])
-    def test_mapreduce_shared_matches_pickle(self, backend):
-        g = gnp(70, 0.1, 5)
-        pieces = [g.edges[i::3] for i in range(3)]
-        reference = MapReduceSimulator(70, 3, rng=6, executor="serial",
-                                       transfer="pickle")
-        reference.load(pieces)
-        reference.shuffle_round(_random_route_k3)
-        reference.shuffle_round(_random_route_k3)
-
-        with MapReduceSimulator(70, 3, rng=6, executor=backend,
-                                transfer="shared") as sim:
-            sim.load(pieces)
-            sim.shuffle_round(_random_route_k3)
-            sim.shuffle_round(_random_route_k3)
-            for i in range(3):
-                np.testing.assert_array_equal(
-                    reference.machine_edges(i), sim.machine_edges(i))
-
     def test_pinned_view_reused_across_solvers(self):
-        """The serving pattern: pin one partition, feed it to *different*
-        solvers sequentially via ``solve(..., partition=view)``.  Each run
-        is bit-identical to its unpinned counterpart, and the whole view
-        holds exactly one shared segment (pieces are slices of one pack,
-        not per-piece copies)."""
+        """The serving pattern: build one partition, feed it to *different*
+        solvers sequentially via ``solve(..., partition=part)``.  Each run
+        is bit-identical to its counterpart that partitions for itself —
+        the contract ``repro serve``'s partition-view cache depends on."""
         from repro.solve import RunContext, solve
 
         g = bipartite_gnp(50, 50, 0.1, 3)
         seed, k = 6, 4
         ctx = RunContext(seed=seed, k=k)
         part = random_k_partition(g, k, ctx.generators(2)[0])
-        unpinned = [
-            solve(g, name, ctx)
-            for name in ("matching.coreset", "vertex_cover.coreset")
-        ]
-        with SharedPartitionView(part) as view:
-            for name, want in zip(
-                ("matching.coreset", "vertex_cover.coreset"), unpinned,
-            ):
-                got = solve(g, name, ctx, partition=view)
-                assert got.value == want.value
-                np.testing.assert_array_equal(got.certificate,
-                                              want.certificate)
-                assert got.stats == want.stats
-            assert len(view.store._segments) == 1
-
-    def test_mapreduce_shared_echo_compute(self):
-        """A compute fn returning its (mapped, read-only) input verbatim
-        must still work — the worker leaves that attachment to process
-        exit instead of invalidating the result."""
-        g = gnp(40, 0.2, 4)
-        with MapReduceSimulator(40, 2, rng=1, executor="processes",
-                                transfer="shared") as sim:
-            sim.load([g.edges[:5], g.edges[5:]])
-            sim.local_round(_edges_identity)
-            np.testing.assert_array_equal(
-                np.vstack([sim.machine_edges(0), sim.machine_edges(1)]),
-                np.vstack([g.edges[:5], g.edges[5:]]))
-
-
-def _random_route_k3(i, edges, rng):
-    return rng.integers(0, 3, size=edges.shape[0])
+        for name in ("matching.coreset", "vertex_cover.coreset"):
+            want = solve(g, name, ctx)
+            got = solve(g, name, ctx, partition=part)
+            assert got.value == want.value
+            np.testing.assert_array_equal(got.certificate, want.certificate)
+            assert got.stats == want.stats

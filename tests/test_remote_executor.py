@@ -98,6 +98,10 @@ class TestMap:
         with _executor() as ex:
             assert ex.map(square, range(4)) == [x * x for x in range(4)]
             pool = ex._pool
+            # The first barrier can finish on the first worker alone; wait
+            # for the whole spawned fleet so a late join during the idle
+            # gap is not mistaken for a respawn.
+            assert pool.wait_for_workers(ex.spawn_workers, timeout=60)
             before = list(pool._workers)
             ex.heartbeat_window = 1.0  # shrink so the test stays fast
             time.sleep(2.0)  # idle strictly longer than the window

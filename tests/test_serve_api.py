@@ -14,7 +14,10 @@ backend and fault paths live in ``tests/test_serve_faults.py``.
 from __future__ import annotations
 
 import asyncio
+import io
 import json
+import os
+import pickle
 
 import pytest
 
@@ -134,6 +137,74 @@ class TestServingDeterminism:
         stats = run_async(main())["store"]
         assert stats["views_created"] == 1
         assert stats["view_hits"] == 8
+
+
+# --------------------------------------------------------------------- #
+# partition views hold no shared memory
+# --------------------------------------------------------------------- #
+class _TypeRecorder(pickle.Pickler):
+    """A pickler that notes the type of every object it serializes."""
+
+    def __init__(self, file):
+        super().__init__(file)
+        self.types = set()
+
+    def persistent_id(self, obj):
+        self.types.add(type(obj))
+        return None
+
+
+class TestPartitionViews:
+    def test_view_is_a_plain_partition(self):
+        """A cached view crosses any executor boundary as ordinary data:
+        pickling it must not drag a shared-memory segment along (a remote
+        worker could not attach one, and a local one re-attaches and later
+        warns about names it never owned)."""
+        from multiprocessing import shared_memory
+
+        from repro.graph.partition import PartitionedGraph
+        from repro.serve.store import GraphStore
+
+        store = GraphStore(pin_shared=False)
+        try:
+            store.register("demo", GRAPH_SPEC, seed=GRAPH_SEED)
+            pg = store.acquire("demo")
+            view = store.lease_view(pg, k=4, seed=3)
+            assert type(view) is PartitionedGraph
+            recorder = _TypeRecorder(io.BytesIO())
+            recorder.dump(view)
+            assert shared_memory.SharedMemory not in recorder.types
+            store.release(pg)
+        finally:
+            store.close()
+
+    def test_coreset_burst_leaves_dev_shm_alone(self):
+        """A burst of coreset solves over more (k, seed) pairs than the
+        view cache holds: no shared-memory entry appears, and the LRU
+        never grows past its bound."""
+        if not os.path.isdir("/dev/shm"):
+            pytest.skip("no /dev/shm on this platform")
+        seeds = range(12)
+
+        async def main():
+            async with serve_harness(graphs=DEMO, executor="threads") as (
+                    server, client):
+                before = set(os.listdir("/dev/shm"))
+                docs = await asyncio.gather(*(
+                    client.solve("demo", solver="matching.coreset", seed=s,
+                                 k=4)
+                    for s in seeds
+                ))
+                after = set(os.listdir("/dev/shm"))
+                stats = await client.stats()
+                return (docs, after - before, stats["store"],
+                        server.store.max_views_per_graph)
+
+        docs, appeared, store, bound = run_async(main())
+        assert all(doc["result"]["verified"] for doc in docs)
+        assert appeared == set()
+        assert store["views_created"] == len(seeds)
+        assert store["partition_views"] <= bound
 
 
 # --------------------------------------------------------------------- #

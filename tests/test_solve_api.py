@@ -154,8 +154,7 @@ class TestPickling:
         assert clone.fn is spec.fn  # module-level adapter, not a closure
 
     def test_run_context_pickles(self):
-        ctx = RunContext(seed=3, k=8, executor="processes", workers=2,
-                         transfer="shared")
+        ctx = RunContext(seed=3, k=8, executor="processes", workers=2)
         clone = pickle.loads(pickle.dumps(ctx))
         assert clone == ctx
 
@@ -227,27 +226,6 @@ class TestEverySolver:
         )
         np.testing.assert_array_equal(serial.certificate, procs.certificate)
         assert serial.value == procs.value
-
-    # Every solver whose engine moves pieces honours ctx.transfer — the
-    # coreset solvers via run_simultaneous, the MapReduce solvers via the
-    # simulator — with bit-identical outputs across modes.
-    @pytest.mark.parametrize(
-        "name", ["matching.coreset", "matching.mapreduce",
-                 "vertex_cover.mapreduce"]
-    )
-    def test_shared_transfer_bit_identical(self, name, bipartite):
-        pickle_mode = solve(
-            bipartite, name,
-            RunContext(seed=SEED, k=K, executor="processes", workers=2,
-                       transfer="pickle"),
-        )
-        shared = solve(
-            bipartite, name,
-            RunContext(seed=SEED, k=K, executor="processes", workers=2,
-                       transfer="shared"),
-        )
-        np.testing.assert_array_equal(pickle_mode.certificate,
-                                      shared.certificate)
 
 
 # --------------------------------------------------------------------- #
