@@ -1,7 +1,7 @@
 """Compressed-sparse-row adjacency built from an edge list.
 
 CSR gives O(1) slicing of a vertex's neighbor array, which is what the
-matching algorithms (Hopcroft–Karp BFS/DFS, blossom search) need in their
+graph searches (König's alternating BFS, blossom search) need in their
 inner loops.  Construction is fully vectorized: duplicate each edge in both
 directions, sort by source with ``argsort``, then ``bincount`` + ``cumsum``
 for the row pointers — O(m log m) with no Python-level per-edge work.

@@ -1,10 +1,11 @@
-"""Maximum/maximal matching algorithms, implemented from scratch.
+"""Maximum/maximal matching algorithms.
 
 The coreset of Theorem 1 is "any maximum matching" of each machine's
 subgraph; this package provides several independent implementations so that
 the algorithm-independence of the theorem can itself be tested:
 
-* :func:`~repro.matching.hopcroft_karp.hopcroft_karp` — bipartite, O(E√V);
+* :func:`~repro.matching.hopcroft_karp.hopcroft_karp` — bipartite, O(E√V),
+  scipy's compiled Hopcroft–Karp;
 * :func:`~repro.matching.blossom.blossom_maximum_matching` — general graphs;
 * :func:`~repro.matching.augmenting.augmenting_path_matching` — slow
   reference oracle;

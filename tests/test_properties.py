@@ -2,7 +2,7 @@
 paper's structural invariants."""
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.graph.bipartite import BipartiteGraph
@@ -38,9 +38,11 @@ def graphs(draw, max_n=30, max_m=80):
 
 
 @st.composite
-def bipartite_graphs(draw, max_side=20, max_m=60):
-    nl = draw(st.integers(1, max_side))
-    nr = draw(st.integers(1, max_side))
+def bipartite_graphs(draw, max_side=20, max_m=60, min_side=1):
+    nl = draw(st.integers(min_side, max_side))
+    nr = draw(st.integers(min_side, max_side))
+    if not (nl and nr):
+        return BipartiteGraph(nl, nr)
     m = draw(st.integers(0, max_m))
     left = draw(st.lists(st.integers(0, nl - 1), min_size=m, max_size=m))
     right = draw(st.lists(st.integers(0, nr - 1), min_size=m, max_size=m))
@@ -118,6 +120,28 @@ def test_hk_equals_augmenting(g):
     b = augmenting_path_matching(g)
     assert is_matching(g, a)
     assert a.shape[0] == b.shape[0]
+
+
+@SETTINGS
+@given(bipartite_graphs(min_side=0))
+@example(BipartiteGraph(0, 3))
+@example(BipartiteGraph(4, 0))
+def test_hk_mates_match_networkx(g):
+    """Differential test of the matching kernel against networkx, empty
+    sides included: same size, int64 mutually inverse mates, real edges."""
+    from conftest import nx_matching_number
+    from repro.matching.hopcroft_karp import hopcroft_karp_mates
+
+    ml, mr = hopcroft_karp_mates(g)
+    assert ml.dtype == mr.dtype == np.int64
+    assert ml.shape == (g.n_left,) and mr.shape == (g.n_right,)
+    left = np.flatnonzero(ml != -1)
+    right = np.flatnonzero(mr != -1)
+    assert left.size == right.size == nx_matching_number(g)
+    np.testing.assert_array_equal(mr[ml[left]], left)
+    np.testing.assert_array_equal(ml[mr[right]], right)
+    pairs = np.stack([left, ml[left] + g.n_left], axis=1)
+    assert isin_mask(pairs, g.edges, g.n_vertices).all()
 
 
 @SETTINGS

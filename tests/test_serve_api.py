@@ -123,7 +123,8 @@ class TestServingDeterminism:
         ref = reference("matching.coreset", seed=9)
 
         async def main():
-            async with serve_harness(graphs=DEMO) as (server, client):
+            async with serve_harness(graphs=DEMO, executor="threads") as (
+                    server, client):
                 for _ in range(3):
                     docs = await asyncio.gather(*(
                         client.solve("demo", solver="matching.coreset",
@@ -466,7 +467,8 @@ class TestValidation:
 class TestProtocol:
     def test_healthz_stats_and_flags(self):
         async def main():
-            async with serve_harness(graphs=DEMO) as (server, client):
+            async with serve_harness(graphs=DEMO, executor="threads") as (
+                    server, client):
                 health = await client.healthz()
                 lean = await client.solve("demo", solver="matching.maximum",
                                           seed=0, verify=False)
