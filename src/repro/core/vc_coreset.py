@@ -19,9 +19,12 @@ The analysis (Lemmas 3.5–3.6) shows all machines peel essentially the same
 vertices — the union of the fixed sets stays O(log n)·VC(G) — which is the
 quantity experiment E3 measures.
 
-Peeling is vectorized: residual degrees are recomputed per level with
-``np.bincount`` over the surviving edge array; there are only
-Δ = O(log(n/(k log n))) levels, so total work is O(Δ·m) array operations.
+Peeling is vectorized: residual degrees come from one ``np.bincount`` over
+the piece's edges and are recounted only after a level that peels.  A level
+that peels nothing leaves edges and degrees unchanged, and a peeled vertex
+keeps residual degree 0, below every later threshold, so it is never
+counted twice.  Of the Δ = O(log(n/(k log n))) levels, each costs O(n) for
+its threshold test and only those that peel cost O(m) more.
 """
 
 from __future__ import annotations
@@ -113,23 +116,21 @@ def vc_coreset(
 
     trace = PeelingTrace()
     alive_edges = piece.edges
+    degrees = np.bincount(alive_edges.ravel(), minlength=piece.n_vertices)
     peeled_mask = np.zeros(piece.n_vertices, dtype=bool)
 
     for j in range(1, delta):
         threshold = n / (k * 2.0 ** (j + 1))
-        if alive_edges.shape[0] == 0:
-            trace.thresholds.append(threshold)
-            trace.peeled_counts.append(0)
-            trace.residual_edges.append(0)
-            continue
-        degrees = np.bincount(alive_edges.ravel(), minlength=piece.n_vertices)
         peel = degrees >= threshold
-        newly = peel & ~peeled_mask
-        peeled_mask |= peel
-        keep = ~peel[alive_edges[:, 0]] & ~peel[alive_edges[:, 1]]
-        alive_edges = alive_edges[keep]
+        peeled = int(np.count_nonzero(peel))
+        if peeled:
+            peeled_mask |= peel
+            keep = ~peel[alive_edges[:, 0]] & ~peel[alive_edges[:, 1]]
+            alive_edges = np.take(alive_edges, np.flatnonzero(keep), axis=0)
+            degrees = np.bincount(alive_edges.ravel(),
+                                  minlength=piece.n_vertices)
         trace.thresholds.append(threshold)
-        trace.peeled_counts.append(int(newly.sum()))
+        trace.peeled_counts.append(peeled)
         trace.residual_edges.append(int(alive_edges.shape[0]))
 
     residual = Graph(piece.n_vertices, alive_edges, validated=True)

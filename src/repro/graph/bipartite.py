@@ -105,14 +105,10 @@ class BipartiteGraph(Graph):
         return np.asarray(v) - self._n_left
 
     # Bipartite subgraphs keep the same split. ------------------------- #
-    def subgraph_from_mask(self, mask: np.ndarray) -> "BipartiteGraph":
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (self.n_edges,):
-            raise ValueError(
-                f"mask must have shape ({self.n_edges},), got {mask.shape}"
-            )
+    def _from_rows(self, rows: np.ndarray) -> "BipartiteGraph":
         return BipartiteGraph(
-            self._n_left, self._n_right, self.edges[mask], validated=True
+            self._n_left, self._n_right, np.take(self.edges, rows, axis=0),
+            validated=True,
         )
 
     def union(self, *others: Graph) -> "BipartiteGraph":

@@ -129,15 +129,10 @@ class WeightedBipartiteGraph(BipartiteGraph):
             self.n_left, self.n_right, self.edges, validated=True
         )
 
-    def subgraph_from_mask(self, mask: np.ndarray) -> "WeightedBipartiteGraph":
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (self.n_edges,):
-            raise ValueError(
-                f"mask must have shape ({self.n_edges},), got {mask.shape}"
-            )
+    def _from_rows(self, rows: np.ndarray) -> "WeightedBipartiteGraph":
         return WeightedBipartiteGraph(
-            self.n_left, self.n_right, self.edges[mask],
-            self._weights[mask], validated=True,
+            self.n_left, self.n_right, np.take(self.edges, rows, axis=0),
+            np.take(self._weights, rows), validated=True,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -229,15 +224,10 @@ class CapacitatedBipartiteGraph(WeightedBipartiteGraph):
             validated=True,
         )
 
-    def subgraph_from_mask(self, mask: np.ndarray) -> "CapacitatedBipartiteGraph":
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (self.n_edges,):
-            raise ValueError(
-                f"mask must have shape ({self.n_edges},), got {mask.shape}"
-            )
+    def _from_rows(self, rows: np.ndarray) -> "CapacitatedBipartiteGraph":
         return CapacitatedBipartiteGraph(
-            self.n_left, self.n_right, self.edges[mask],
-            self.weights[mask], self._capacities, validated=True,
+            self.n_left, self.n_right, np.take(self.edges, rows, axis=0),
+            np.take(self.weights, rows), self._capacities, validated=True,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

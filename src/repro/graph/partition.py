@@ -11,6 +11,7 @@ to Õ(n) summaries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -33,9 +34,11 @@ class PartitionedGraph:
     """A graph together with a k-way partition of its edge set.
 
     ``assignment[i]`` is the machine (in ``0..k-1``) that received edge ``i``
-    of ``graph.edges``.  Pieces are materialized lazily as subgraph views on
-    the full vertex set, matching the paper's model where every machine knows
-    the vertex set ``V`` but only its own edges.
+    of ``graph.edges``.  Pieces are built on demand as same-type subgraphs
+    on the full vertex set, matching the paper's model where every machine
+    knows the vertex set ``V`` but only its own edges.  The first
+    :meth:`piece` call groups the edge rows by machine in one stable pass
+    and keeps that grouping for later calls; it is left out of pickles.
     """
 
     graph: Graph
@@ -55,31 +58,35 @@ class PartitionedGraph:
         object.__setattr__(self, "assignment", a)
 
     def piece(self, i: int) -> Graph:
-        """The subgraph ``G^(i)`` given to machine ``i``."""
+        """The subgraph ``G^(i)`` given to machine ``i``, equal to
+        ``graph.subgraph_from_mask(assignment == i)``."""
         if not 0 <= i < self.k:
             raise IndexError(f"machine index {i} out of range [0, {self.k})")
-        return self.graph.subgraph_from_mask(self.assignment == i)
+        order, bounds = self._buckets
+        return self.graph.subgraph_from_indices(order[bounds[i]:bounds[i + 1]])
 
     def pieces(self) -> Iterator[Graph]:
         """Iterate over all ``k`` machine subgraphs."""
         for i in range(self.k):
             yield self.piece(i)
 
-    def piece_edge_arrays(self) -> list[np.ndarray]:
-        """All ``k`` per-machine edge arrays from one vectorized pass.
+    @cached_property
+    def _buckets(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(order, bounds)``: edge rows grouped by machine, machine ``i``
+        owning ``order[bounds[i]:bounds[i + 1]]``.
 
-        ``piece(i)`` scans the full assignment once *per machine* — O(k·m)
-        to materialize everything.  This method sorts the edge list by
-        machine once (a stable argsort, so each machine's edges keep the
-        canonical order ``piece(i).edges`` would have) and slices it — one
-        O(m log m) pass instead of k masked scans.  Entry ``i`` is
-        bit-identical to ``piece(i).edges``.
+        numpy radix-sorts keys of 16 bits or fewer, so the assignment is
+        cast to the narrowest type holding ``k - 1`` before the argsort.
+        The sort is stable, so each machine's rows stay ascending and its
+        piece keeps the canonical edge order.
         """
-        order = np.argsort(self.assignment, kind="stable")
-        stacked = self.graph.edges[order]
-        counts = np.bincount(self.assignment, minlength=self.k)
-        bounds = np.concatenate([[0], np.cumsum(counts)])
-        return [stacked[bounds[i]:bounds[i + 1]] for i in range(self.k)]
+        keys = self.assignment.astype(np.min_scalar_type(self.k - 1))
+        order = np.argsort(keys, kind="stable")
+        return order, np.concatenate([[0], np.cumsum(self.piece_sizes())])
+
+    def __getstate__(self) -> dict:
+        # The bucket order (8 bytes per edge) is rebuilt on demand, not pickled.
+        return {f: v for f, v in self.__dict__.items() if f != "_buckets"}
 
     def piece_sizes(self) -> np.ndarray:
         """Number of edges per machine."""

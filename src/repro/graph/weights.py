@@ -104,14 +104,10 @@ class WeightedGraph(Graph):
     def total_weight(self) -> float:
         return float(self._weights.sum())
 
-    def subgraph_from_mask(self, mask: np.ndarray) -> "WeightedGraph":
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape != (self.n_edges,):
-            raise ValueError(
-                f"mask must have shape ({self.n_edges},), got {mask.shape}"
-            )
+    def _from_rows(self, rows: np.ndarray) -> "WeightedGraph":
         return WeightedGraph(
-            self.n_vertices, self.edges[mask], self._weights[mask], validated=True
+            self.n_vertices, np.take(self.edges, rows, axis=0),
+            np.take(self._weights, rows), validated=True,
         )
 
     def matching_weight(self, matching_edges: np.ndarray) -> float:

@@ -85,14 +85,6 @@ class TestRoundTrip:
             assert rebuilt == g
             att.release()
 
-    def test_piece_edge_arrays_bit_identical_to_pieces(self):
-        g = gnp(80, 0.1, 11)
-        part = random_k_partition(g, 6, 12)
-        arrays = part.piece_edge_arrays()
-        assert len(arrays) == 6
-        for i, arr in enumerate(arrays):
-            np.testing.assert_array_equal(arr, part.piece(i).edges)
-
     def test_from_canonical_edges_round_trip(self):
         g = gnp(30, 0.2, 2)
         clone = Graph.from_canonical_edges(g.n_vertices, g.edges)

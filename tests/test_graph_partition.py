@@ -1,10 +1,17 @@
 """Tests for repro.graph.partition."""
 
+import pickle
+
 import numpy as np
 import pytest
 
+from repro.graph.bipartite import BipartiteGraph
+from repro.graph.capacity import (
+    CapacitatedBipartiteGraph,
+    WeightedBipartiteGraph,
+)
 from repro.graph.edgelist import Graph
-from repro.graph.generators import gnp
+from repro.graph.generators import bipartite_gnp, gnp
 from repro.graph.partition import (
     PartitionedGraph,
     adversarial_degree_partition,
@@ -12,6 +19,7 @@ from repro.graph.partition import (
     random_k_partition,
 )
 from repro.graph.validation import check_partition
+from repro.graph.weights import WeightedGraph, has_edge_weights
 
 
 class TestPartitionedGraph:
@@ -106,3 +114,103 @@ class TestExplicitPartitions:
         a = adversarial_degree_partition(g, 4).assignment
         b = adversarial_degree_partition(g, 4).assignment
         np.testing.assert_array_equal(a, b)
+
+
+# --------------------------------------------------------------------- #
+# subgraphs and pieces keep the graph's type and per-edge data
+# --------------------------------------------------------------------- #
+def _weighted_graph() -> WeightedGraph:
+    g = gnp(60, 0.2, 1)
+    weights = np.random.default_rng(1).uniform(0.5, 9.0, g.n_edges)
+    return WeightedGraph(g.n_vertices, g.edges, weights)
+
+
+def _weighted_bipartite() -> WeightedBipartiteGraph:
+    g = bipartite_gnp(25, 35, 0.3, 2)
+    weights = np.random.default_rng(2).uniform(0.5, 9.0, g.n_edges)
+    return WeightedBipartiteGraph(g.n_left, g.n_right, g.edges, weights)
+
+
+def _capacitated_bipartite() -> CapacitatedBipartiteGraph:
+    g = _weighted_bipartite()
+    capacities = np.random.default_rng(3).integers(1, 4, g.n_left)
+    return CapacitatedBipartiteGraph(g.n_left, g.n_right, g.edges, g.weights,
+                                     capacities)
+
+
+GRAPH_TYPES = {
+    "Graph": lambda: gnp(60, 0.2, 1),
+    "BipartiteGraph": lambda: bipartite_gnp(25, 35, 0.3, 2),
+    "WeightedGraph": _weighted_graph,
+    "WeightedBipartiteGraph": _weighted_bipartite,
+    "CapacitatedBipartiteGraph": _capacitated_bipartite,
+}
+
+
+def _contents(g: Graph, rows=slice(None)) -> list:
+    """Type, vertex count, edges, sides, weights and capacities of ``g``,
+    the per-edge arrays cut to ``rows``."""
+    out = [type(g), g.n_vertices, g.edges[rows]]
+    if isinstance(g, BipartiteGraph):
+        out.append((g.n_left, g.n_right))
+    if has_edge_weights(g):
+        out.append(g.weights[rows])
+    if isinstance(g, CapacitatedBipartiteGraph):
+        out.append(g.capacities)
+    return out
+
+
+def _assert_same(a: list, b: list) -> None:
+    assert len(a) == len(b) and a[:2] == b[:2]
+    for x, y in zip(a[2:], b[2:]):
+        assert np.asarray(x).dtype == np.asarray(y).dtype
+        np.testing.assert_array_equal(x, y)
+
+
+@pytest.mark.parametrize("kind", list(GRAPH_TYPES))
+def test_subgraphs_and_pieces_keep_type_and_edge_data(kind):
+    g = GRAPH_TYPES[kind]()
+    assert type(g).__name__ == kind
+    rng = np.random.default_rng(4)
+
+    mask = rng.random(g.n_edges) < 0.4
+    _assert_same(_contents(g.subgraph_from_mask(mask)),
+                 _contents(g, np.flatnonzero(mask)))
+    none = np.zeros(0, np.int64)
+    _assert_same(_contents(g.subgraph_from_mask(np.zeros(g.n_edges, bool))),
+                 _contents(g, none))
+
+    rows = rng.permutation(g.n_edges)[: g.n_edges // 3]
+    assert (np.diff(rows) < 0).any()
+    for indices in (rows, np.sort(rows), none):
+        _assert_same(_contents(g.subgraph_from_indices(indices)),
+                     _contents(g, np.sort(indices)))
+
+    # k = 300 takes the 16-bit sort key and leaves some machines empty.
+    for k in (1, 5, 300):
+        part = random_k_partition(g, k, 11)
+        for i in range(k):
+            _assert_same(_contents(part.piece(i)),
+                         _contents(g.subgraph_from_mask(part.assignment == i)))
+        if k == 1:
+            _assert_same(_contents(part.piece(0)), _contents(g))
+        if k == 300:
+            assert (part.piece_sizes() == 0).any()
+
+    empty_middle = partition_by_assignment(g, rng.choice([0, 2], g.n_edges), 3)
+    assert empty_middle.piece(1).n_edges == 0
+    for i in range(3):
+        _assert_same(_contents(empty_middle.piece(i)), _contents(
+            g.subgraph_from_mask(empty_middle.assignment == i)))
+
+
+def test_pickled_partition_leaves_bucket_order_behind():
+    """``repro serve`` pickles its cached partitions into remote tasks: the
+    grouping built by ``piece()`` must not ride along."""
+    part = random_k_partition(gnp(200, 0.2, 3), 4, 5)
+    before = len(pickle.dumps(part))
+    pieces = list(part.pieces())
+    assert len(pickle.dumps(part)) == before
+    clone = pickle.loads(pickle.dumps(part))
+    for i, piece in enumerate(pieces):
+        _assert_same(_contents(clone.piece(i)), _contents(piece))

@@ -255,6 +255,96 @@ def test_vc_coreset_piece_cover_property(g, k, seed):
         assert is_vertex_cover(piece, cover)
 
 
+def reference_vc_coreset(piece, k, log_slack):
+    """The peeling loop of Theorem 2 as first written: recount degrees at
+    every level, peel, filter.  ``(fixed, residual edges, thresholds,
+    peeled counts, residual counts)``; the oracle for ``vc_coreset``."""
+    from repro.core.vc_coreset import peeling_levels
+
+    n = piece.n_vertices
+    delta = peeling_levels(n, k, log_slack)
+    thresholds, peeled_counts, residual_edges = [], [], []
+    alive_edges = piece.edges
+    peeled_mask = np.zeros(n, dtype=bool)
+    for j in range(1, delta):
+        threshold = n / (k * 2.0 ** (j + 1))
+        if alive_edges.shape[0] == 0:
+            thresholds.append(threshold)
+            peeled_counts.append(0)
+            residual_edges.append(0)
+            continue
+        degrees = np.bincount(alive_edges.ravel(), minlength=n)
+        peel = degrees >= threshold
+        newly = peel & ~peeled_mask
+        peeled_mask |= peel
+        keep = ~peel[alive_edges[:, 0]] & ~peel[alive_edges[:, 1]]
+        alive_edges = alive_edges[keep]
+        thresholds.append(threshold)
+        peeled_counts.append(int(newly.sum()))
+        residual_edges.append(int(alive_edges.shape[0]))
+    fixed = np.flatnonzero(peeled_mask).astype(np.int64)
+    return fixed, alive_edges, thresholds, peeled_counts, residual_edges
+
+
+def _nested_stars() -> Graph:
+    """Stars of 20, 10 and 5 leaves on 64 vertices: with k = 1 and
+    log_slack = 0.5 the thresholds run 16, 8, 4, 2, so the first three
+    levels each peel one centre."""
+    edges = [(0, v) for v in range(1, 21)]
+    edges += [(21, v) for v in range(22, 32)]
+    edges += [(32, v) for v in range(33, 38)]
+    return Graph(64, edges)
+
+
+@st.composite
+def small_graphs(draw, max_n=30, max_m=90):
+    """Graphs on 0..max_n vertices, n < 2 and edgeless ones included."""
+    n = draw(st.integers(min_value=0, max_value=max_n))
+    if n == 0:
+        return Graph(0)
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    edges = draw(st.lists(pairs, max_size=max_m))
+    return Graph(n, np.asarray(edges, dtype=np.int64).reshape(-1, 2))
+
+
+@SETTINGS
+@given(small_graphs(), st.integers(1, 6),
+       st.floats(0.05, 8.0, allow_nan=False), st.integers(0, 2**31 - 1))
+@example(Graph(0), 1, 4.0, 0)
+@example(Graph(1), 2, 4.0, 0)
+@example(Graph(40), 3, 0.1, 0)
+@example(_nested_stars(), 1, 0.5, 0)
+@example(_nested_stars(), 6, 0.1, 7)
+def test_vc_coreset_equals_reference_loop(g, k, log_slack, seed):
+    """``vc_coreset`` recounts degrees only after a level that peels; it
+    must match the every-level loop exactly on the whole graph and on
+    every piece of a random k-partition, empty pieces included."""
+    from repro.core.vc_coreset import vc_coreset
+
+    part = random_k_partition(g, k, seed)
+    for piece in [g, *part.pieces()]:
+        got = vc_coreset(piece, k=k, log_slack=log_slack)
+        fixed, residual, thresholds, peeled, remaining = reference_vc_coreset(
+            piece, k, log_slack)
+        assert got.fixed_vertices.dtype == np.int64
+        np.testing.assert_array_equal(got.fixed_vertices, fixed)
+        assert got.residual.n_vertices == piece.n_vertices
+        np.testing.assert_array_equal(got.residual.edges, residual)
+        assert got.trace.thresholds == thresholds
+        assert got.trace.peeled_counts == peeled
+        assert got.trace.residual_edges == remaining
+
+
+def test_nested_stars_peel_on_consecutive_levels():
+    """The explicit example above really has consecutive peeling levels."""
+    from repro.core.vc_coreset import vc_coreset
+
+    result = vc_coreset(_nested_stars(), k=1, log_slack=0.5)
+    assert result.trace.peeled_counts == [1, 1, 1, 0]
+    assert result.fixed_vertices.tolist() == [0, 21, 32]
+    assert result.trace.residual_edges == [15, 5, 0, 0]
+
+
 @SETTINGS
 @given(st.integers(2, 40), st.integers(1, 39), st.integers(0, 2**31 - 1))
 def test_hvp_protocol_never_lies(universe, t_size, seed):
