@@ -64,7 +64,7 @@ async def main() -> None:
         bid_log_path = Path(tmp) / "bid_log.npz"
         save_npz(bid_log_path, wg)
 
-        async with ReproServer(ServeConfig(batch_window_ms=20.0)) as server:
+        async with ReproServer(ServeConfig()) as server:
             client = ServeClient(port=server.port)
             info = await client.register_graph("bids", str(bid_log_path))
             print(f"pinned via POST /graphs: kind={info['kind']} "

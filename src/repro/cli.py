@@ -261,13 +261,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "runtime via POST /graphs")
     v.add_argument("--seed", type=int, default=0,
                    help="generation seed for preloaded generator specs")
-    v.add_argument("--batch-window-ms", type=float, default=5.0,
-                   help="micro-batch window: concurrent requests for one "
-                        "graph arriving within this window share one "
-                        "executor barrier (default 5)")
     v.add_argument("--max-batch", type=int, default=32,
-                   help="flush a batch early at this many requests "
-                        "(default 32)")
+                   help="most requests one executor barrier takes; the "
+                        "rest wait for the next (default 32)")
     v.add_argument("--max-inflight", type=int, default=64,
                    help="global in-flight request cap; excess requests "
                         "get 429 overloaded + Retry-After (default 64)")
@@ -673,7 +669,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         executor=args.executor,
         workers=args.workers,
-        batch_window_ms=args.batch_window_ms,
         max_batch=args.max_batch,
         preload=tuple(preload),
         seed=args.seed,

@@ -145,7 +145,6 @@ class ServeConfig:
     port: int = 0
     executor: Optional[str] = None
     workers: Optional[int] = None
-    batch_window_ms: float = 5.0
     max_batch: int = 32
     max_body_bytes: int = 8 * 1024 * 1024
     preload: Tuple[Tuple[str, str], ...] = ()
@@ -212,10 +211,7 @@ class ReproServer:
         self.supervisor.rewarm()
         self.store = GraphStore(pin_shared=self.ship_handles)
         self.batcher = MicroBatcher(
-            self.supervisor,
-            window_s=cfg.batch_window_ms / 1000.0,
-            max_batch=cfg.max_batch,
-            max_queue=cfg.max_queue,
+            self.supervisor, max_batch=cfg.max_batch, max_queue=cfg.max_queue
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self.host = cfg.host
@@ -256,8 +252,6 @@ class ReproServer:
         self._draining = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-            self._server = None
         await self.batcher.drain()
         me = asyncio.current_task()
         pending = [t for t in self._conn_tasks
@@ -270,6 +264,11 @@ class ReproServer:
             for task in pending:
                 if not task.done():
                     task.cancel()
+        if self._server is not None:
+            # Only now: since Python 3.12 this waits for every connection
+            # to close, and the queued ones close once the drain answers.
+            await self._server.wait_closed()
+            self._server = None
         self.supervisor.close()
         self.store.close()
 
@@ -511,6 +510,8 @@ class ReproServer:
                 "ready_watermark": self._effective_watermark(),
                 "rejected_queue_full": batch["rejected_queue_full"],
                 "rejected_at_dispatch": batch["rejected_at_dispatch"],
+                "wait_ms": batch["wait_ms"],
+                "barrier_ms": batch["barrier_ms"],
             },
             "deadlines": {
                 "default_deadline_ms": cfg.default_deadline_ms,
@@ -595,10 +596,10 @@ class ReproServer:
                 solver=spec.name,
             )
 
-    def _make_task(self, pg: PinnedGraph, spec: SolverSpec, seed: int,
-                   k: Optional[int], params: Dict[str, Any], verify: bool,
-                   include_certificate: bool,
-                   deadline_ts: Optional[float] = None) -> SolveTask:
+    async def _make_task(self, pg: PinnedGraph, spec: SolverSpec, seed: int,
+                         k: Optional[int], params: Dict[str, Any],
+                         verify: bool, include_certificate: bool,
+                         deadline_ts: Optional[float] = None) -> SolveTask:
         task = SolveTask(
             graph_id=pg.graph_id, solver=spec.name, seed=seed, k=k,
             params=params, verify=verify,
@@ -607,6 +608,15 @@ class ReproServer:
         )
         if self.ship_handles and pg.handle is not None:
             return replace(task, handle=pg.handle, weights=pg.weights)
+        if (spec.model == "coreset" and "partition" in spec.params
+                and k is not None):
+            # Partition views ride with the graph object only: handle-
+            # shipping workers rebuild the partition from the seed
+            # (bit-identical by contract).
+            view = await asyncio.get_running_loop().run_in_executor(
+                None, self.store.lease_view, pg, k, seed
+            )
+            task = replace(task, partition=view)
         return replace(task, graph=pg.graph)
 
     def _deadline(self, requested_ms: Optional[float]
@@ -623,22 +633,9 @@ class ReproServer:
         budget_s = budget_ms / 1000.0
         return budget_ms, time.monotonic() + budget_s, time.time() + budget_s
 
-    def _wants_view(self, spec: SolverSpec, task: SolveTask) -> bool:
-        # Partition views ride with the graph object only: handle-shipping
-        # workers rebuild the partition from the seed (bit-identical by
-        # contract).
-        return (task.graph is not None and spec.model == "coreset"
-                and "partition" in spec.params and task.k is not None)
-
-    async def _submit(self, pg: PinnedGraph, spec: SolverSpec,
-                      task: SolveTask,
+    async def _submit(self, pg: PinnedGraph, task: SolveTask,
                       deadline: Optional[float] = None,
                       deadline_ms: Optional[float] = None) -> Dict[str, Any]:
-        if self._wants_view(spec, task):
-            view = await asyncio.get_running_loop().run_in_executor(
-                None, self.store.lease_view, pg, task.k, task.seed
-            )
-            task = replace(task, partition=view)
         payload = await self.batcher.submit(
             pg.graph_id, task, deadline=deadline, deadline_ms=deadline_ms
         )
@@ -655,11 +652,10 @@ class ReproServer:
                 budget_ms, deadline, deadline_ts = self._deadline(
                     req.deadline_ms
                 )
-                task = self._make_task(pg, spec, req.seed, req.k, req.params,
-                                       req.verify, req.include_certificate,
-                                       deadline_ts=deadline_ts)
-                payload = await self._submit(pg, spec, task,
-                                             deadline=deadline,
+                task = await self._make_task(
+                    pg, spec, req.seed, req.k, req.params, req.verify,
+                    req.include_certificate, deadline_ts=deadline_ts)
+                payload = await self._submit(pg, task, deadline=deadline,
                                              deadline_ms=budget_ms)
             finally:
                 self.store.release(pg)
@@ -697,23 +693,24 @@ class ReproServer:
                 budget_ms, deadline, deadline_ts = self._deadline(
                     req.deadline_ms
                 )
-                jobs = []
+                specs = []
                 for entry in req.entries:
                     try:
                         spec = get_solver(entry.solver)
                     except UnknownSolverError as exc:
                         raise NotFound(str(exc), solver=entry.solver)
                     self._precheck(spec, pg.graph, req.k, entry.params)
-                    task = self._make_task(pg, spec, req.seed, req.k,
-                                           entry.params, req.verify, False,
-                                           deadline_ts=deadline_ts)
-                    jobs.append((entry, spec, task))
-                # One gather → the batcher coalesces all entries for this
-                # graph into a single barrier (shared key, shared window).
+                    specs.append(spec)
+                # Lease every partition view before submitting anything:
+                # then all entries join the graph's queue in one tick and
+                # share one barrier.
+                tasks = [await self._make_task(pg, spec, req.seed, req.k,
+                                               entry.params, req.verify,
+                                               False, deadline_ts=deadline_ts)
+                         for entry, spec in zip(req.entries, specs)]
                 payloads = await asyncio.gather(
-                    *(self._submit(pg, spec, task, deadline=deadline,
-                                   deadline_ms=budget_ms)
-                      for _, spec, task in jobs),
+                    *(self._submit(pg, task, deadline=deadline,
+                                   deadline_ms=budget_ms) for task in tasks),
                     return_exceptions=True,
                 )
             finally:
@@ -721,7 +718,7 @@ class ReproServer:
         finally:
             self.admission.release(req.graph_id)
         columns = []
-        for (entry, spec, _), payload in zip(jobs, payloads):
+        for entry, spec, payload in zip(req.entries, specs, payloads):
             column: Dict[str, Any] = {
                 "label": entry.label or spec.name,
                 "solver": spec.name,
@@ -772,8 +769,7 @@ def serve_main(config: ServeConfig) -> int:
                   f"n={pg.graph.n_vertices} m={pg.graph.n_edges}",
                   flush=True)
         print(f"repro serve listening on http://{server.host}:{server.port} "
-              f"(executor={server.executor_name}, "
-              f"batch window {config.batch_window_ms:g} ms)", flush=True)
+              f"(executor={server.executor_name})", flush=True)
         await stop.wait()
         print("repro serve: draining and shutting down", flush=True)
         await server.aclose()

@@ -1,33 +1,33 @@
-"""Micro-batching: concurrent requests for one graph share one barrier.
+"""Micro-batching by group commit: concurrent requests share one barrier.
 
-The server's unit of executor work is a *batch*: every ``POST /solve``
-that arrives within ``window_s`` of the first pending request for the
-same graph joins its batch, and the whole batch runs as **one**
+The server's unit of executor work is a *batch*: one
 ``executor.map(run_solve_task, tasks)`` — one barrier, one pool wake-up,
-one pass over the pinned graph, however many clients are waiting.  A
-batch also flushes early the moment it reaches ``max_batch``, so a
-saturating client never waits out the window.
+one pass over the pinned graph, however many clients are waiting.
+Batches form on occupancy, not on a clock: the first ``submit`` starts
+one dispatcher task on the next loop tick, which runs barriers back to
+back while anything is pending.  Each barrier takes the oldest graph's
+queued entries, up to ``max_batch`` (the remainder goes to the back of
+the queue), and whatever arrives while it runs forms the next batch —
+group commit, sized by load the way Clipper (Crankshaw et al., NSDI
+2017) sizes its batches.  The dispatcher is the only caller of
+``executor.map`` and ``supervisor.rewarm``, so nothing races the
+executors' lazy pool creation.
 
 Each request still gets its own :class:`~repro.serve.tasks.SolveTask`
 (own seed, own solver, own params) and its own result future; batching
 changes *scheduling only*, never results — the facade's per-seed
 determinism contract is what makes that safe, and
 ``tests/test_serve_api.py`` asserts byte-identical answers whether a
-request ran alone or inside a 16-wide batch.
+request ran alone or inside a batch.
 
-Flushes are serialized by an asyncio lock: the repro executors create
-their pools lazily inside ``map``, which is not safe to race from two
-threads, and "one barrier at a time" is exactly the semantics the batch
-stats report.
+The resilience layer hangs off three seams here:
 
-The PR 9 resilience layer hangs off three seams here:
-
-* **Bounded queue** — ``submit`` rejects with a 429 ``overloaded`` once
-  ``max_queue`` entries are waiting, so sustained overload sheds load
-  instead of queueing unboundedly.
+* **Bounded queue** — every entry stays queued until its barrier
+  starts, and ``submit`` rejects with a 429 ``overloaded`` once
+  ``max_queue`` entries are waiting.
 * **Deadlines** — each entry may carry a monotonic deadline.  Expired
-  entries are dropped *before* the flush (never dispatched, 504), and an
-  entry whose deadline passes while its batch is in flight gets a 504
+  entries are dropped *before* the barrier (never dispatched, 504), and
+  an entry whose deadline passes while its batch is in flight gets a 504
   after the barrier without touching its batch-mates' payloads.
 * **Supervised pool breaks** — a broken pool
   (:class:`~repro.dist.executor.WorkerPoolBrokenError`) still fails only
@@ -37,6 +37,10 @@ The PR 9 resilience layer hangs off three seams here:
   breaks opens the circuit breaker, and further batches are rejected
   until a half-open probe (which this class dispatches, re-warming
   first) closes it again.
+
+For ``/statz``, two rings of the newest :data:`RING_SIZE` samples time
+each request's queue wait (``submit`` to the start of its barrier) and
+each barrier.
 """
 
 from __future__ import annotations
@@ -44,7 +48,8 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import time
-from typing import Any, Dict, List, Optional, Tuple
+from collections import deque
+from typing import Any, Deque, Dict, List, NamedTuple, Optional
 
 from repro.dist.executor import Executor, WorkerPoolBrokenError
 from repro.serve.protocol import (
@@ -59,39 +64,56 @@ from repro.serve.tasks import SolveTask, run_solve_task
 
 __all__ = ["MicroBatcher"]
 
-#: One queued request: (task, its future, monotonic deadline or None,
-#: the client-facing deadline budget in ms for error messages).
-_Entry = Tuple[SolveTask, asyncio.Future, Optional[float], Optional[float]]
+#: Samples kept per latency ring; the newest replace the oldest.
+RING_SIZE = 1024
 
 
-class _Bucket:
-    """Requests for one graph key, waiting for the window to close."""
+class _Entry(NamedTuple):  # one queued request
+    task: SolveTask
+    future: asyncio.Future
+    deadline: Optional[float]  # time.monotonic() expiry, or None
+    budget_ms: Optional[float]  # the client-facing budget, for errors
+    queued_at: float  # time.monotonic() at submit
 
-    __slots__ = ("entries", "timer")
 
-    def __init__(self) -> None:
-        self.entries: List[_Entry] = []
-        self.timer: Optional[asyncio.TimerHandle] = None
+def _expired(entry: _Entry, where: str) -> DeadlineExceeded:
+    return DeadlineExceeded(
+        f"deadline of {entry.budget_ms:g} ms expired while the {where}",
+        graph=entry.task.graph_id,
+        solver=entry.task.solver,
+        deadline_ms=entry.budget_ms,
+    )
+
+
+def _percentiles(ring: Deque[float]) -> Dict[str, Any]:
+    """Nearest-rank p50/p95/p99 of one latency ring, in ms."""
+    xs = sorted(ring)
+    doc: Dict[str, Any] = {"samples": len(xs)}
+    for p in (50, 95, 99):
+        rank = (p * len(xs) + 99) // 100  # ceil(p% of n), in integers
+        doc[f"p{p}"] = round(xs[rank - 1], 3) if xs else None
+    return doc
 
 
 class MicroBatcher:
     """Coalesces concurrent solve tasks into per-graph executor barriers."""
 
     def __init__(self, supervisor: ExecutorSupervisor, *,
-                 window_s: float = 0.005, max_batch: int = 32,
-                 max_queue: int = 256) -> None:
+                 max_batch: int = 32, max_queue: int = 256) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         if max_queue < 1:
             raise ValueError("max_queue must be >= 1")
         self.supervisor = supervisor
-        self.window_s = max(0.0, float(window_s))
         self.max_batch = max_batch
         self.max_queue = max_queue
-        self._pending: Dict[str, _Bucket] = {}
-        self._flush_lock = asyncio.Lock()
-        self._inflight: set = set()
-        self._draining = False
+        # graph key → entries waiting for a barrier; dicts keep insertion
+        # order, so the first key is the graph that has waited longest.
+        self._pending: Dict[str, List[_Entry]] = {}
+        self._dispatcher: Optional[asyncio.Task] = None
+        self.draining = False
+        self._wait_ms: Deque[float] = deque(maxlen=RING_SIZE)
+        self._barrier_ms: Deque[float] = deque(maxlen=RING_SIZE)
         # stats
         self.batches = 0
         self.requests = 0
@@ -111,7 +133,7 @@ class MicroBatcher:
         return self.supervisor.executor
 
     def queue_depth(self) -> int:
-        return sum(len(b.entries) for b in self._pending.values())
+        return sum(len(entries) for entries in self._pending.values())
 
     # ------------------------------------------------------------------ #
     async def submit(self, key: str, task: SolveTask, *,
@@ -127,7 +149,7 @@ class MicroBatcher:
         :class:`~repro.serve.protocol.PoolBroken` /
         :class:`~repro.serve.protocol.SolveFailed` if the batch's barrier
         itself failed."""
-        if self._draining:
+        if self.draining:
             raise ShuttingDown("server is draining; no new work accepted")
         self.supervisor.on_submit()  # fast shed while the breaker is open
         if self.queue_depth() >= self.max_queue:
@@ -135,88 +157,84 @@ class MicroBatcher:
             raise Overloaded(
                 f"batch queue is full ({self.max_queue} waiting); "
                 f"retry shortly",
-                retry_after_s=max(2 * self.window_s, 0.05),
+                retry_after_s=0.05,
                 reason="queue_full",
                 max_queue=self.max_queue,
             )
         loop = asyncio.get_running_loop()
         future: asyncio.Future = loop.create_future()
-        bucket = self._pending.get(key)
-        if bucket is None:
-            bucket = _Bucket()
-            self._pending[key] = bucket
-            bucket.timer = loop.call_later(
-                self.window_s, self._flush_soon, key
-            )
-        bucket.entries.append((task, future, deadline, deadline_ms))
+        self._pending.setdefault(key, []).append(
+            _Entry(task, future, deadline, deadline_ms, time.monotonic())
+        )
         self.requests += 1
         self.max_queue_seen = max(self.max_queue_seen, self.queue_depth())
-        if len(bucket.entries) >= self.max_batch:
-            self._flush_soon(key)
+        if self._dispatcher is None:
+            self._dispatcher = loop.create_task(self._dispatch())
         return await future
 
-    def _flush_soon(self, key: str) -> None:
-        bucket = self._pending.pop(key, None)
-        if bucket is None:  # already flushed (window raced the size cap)
-            return
-        if bucket.timer is not None:
-            bucket.timer.cancel()
-        job = asyncio.get_running_loop().create_task(self._run(bucket))
-        self._inflight.add(job)
-        job.add_done_callback(self._inflight.discard)
+    async def _dispatch(self) -> None:
+        """Run barriers back to back until nothing is pending."""
+        try:
+            while self._pending:
+                key = next(iter(self._pending))
+                entries = self._pending.pop(key)
+                if len(entries) > self.max_batch:
+                    self._pending[key] = entries[self.max_batch:]
+                    entries = entries[:self.max_batch]
+                await self._run(entries)
+        finally:
+            self._dispatcher = None
 
-    async def _run(self, bucket: _Bucket) -> None:
-        # Expired-in-queue entries are dropped here, *before* the flush:
+    async def _run(self, entries: List[_Entry]) -> None:
+        # Expired-in-queue entries are dropped here, *before* the barrier:
         # they are never dispatched, never cost a pool slot.
         now = time.monotonic()
         live: List[_Entry] = []
-        for entry in bucket.entries:
-            task, future, deadline, budget_ms = entry
-            if deadline is not None and now >= deadline:
+        for entry in entries:
+            if entry.deadline is not None and now >= entry.deadline:
                 self.expired_in_queue += 1
-                if not future.cancelled():
-                    future.set_exception(DeadlineExceeded(
-                        f"deadline of {budget_ms:g} ms expired while the "
-                        f"request was queued",
-                        graph=task.graph_id,
-                        solver=task.solver,
-                        deadline_ms=budget_ms,
-                    ))
+                self._reject([entry], _expired(entry, "request was queued"))
             else:
                 live.append(entry)
         if not live:
             return
-        tasks = [task for task, _, _, _ in live]
+        tasks = [entry.task for entry in live]
         self.batches += 1
         self.max_batch_seen = max(self.max_batch_seen, len(tasks))
         if len(tasks) > 1:
             self.batched_requests += len(tasks)
         loop = asyncio.get_running_loop()
         try:
-            async with self._flush_lock:
-                try:
-                    action = self.supervisor.on_dispatch()
-                except Overloaded as exc:
-                    self.rejected_at_dispatch += len(live)
-                    if self._draining:
-                        # Queued before the breaker opened, and the server
-                        # is going away: a structured 503 beats waiting out
-                        # a backoff that will never be probed.
-                        self._reject(live, ShuttingDown(
-                            "server is draining and the worker pool is "
-                            "unavailable",
-                            batch_size=len(tasks),
-                        ))
-                    else:
-                        self._reject(live, exc)
-                    return
-                if action == "probe":
-                    # Half-open: this batch is the probe.  Re-warm first so
-                    # the barrier runs in a real pool, not inline.
-                    await loop.run_in_executor(None, self.supervisor.rewarm)
+            try:
+                action = self.supervisor.on_dispatch()
+            except Overloaded as exc:
+                self.rejected_at_dispatch += len(live)
+                if self.draining:
+                    # Queued before the breaker opened, and the server is
+                    # going away: a structured 503 beats waiting out a
+                    # backoff that will never be probed.
+                    self._reject(live, ShuttingDown(
+                        "server is draining and the worker pool is "
+                        "unavailable",
+                        batch_size=len(tasks),
+                    ))
+                else:
+                    self._reject(live, exc)
+                return
+            if action == "probe":
+                # Half-open: this batch is the probe.  Re-warm first so
+                # the barrier runs in a real pool, not inline.
+                await loop.run_in_executor(None, self.supervisor.rewarm)
+            started = time.monotonic()
+            self._wait_ms.extend((started - entry.queued_at) * 1000.0
+                                 for entry in live)
+            try:
                 payloads = await loop.run_in_executor(
                     None, self.executor.map, run_solve_task, tasks
                 )
+            finally:
+                self._barrier_ms.append((time.monotonic() - started)
+                                        * 1000.0)
         except WorkerPoolBrokenError as exc:
             self.pool_breaks += 1
             action = self.supervisor.on_break()
@@ -225,10 +243,7 @@ class MicroBatcher:
                 # re-warm immediately so the next single-task barrier does
                 # not run inline in the server process.
                 with contextlib.suppress(Exception):
-                    async with self._flush_lock:
-                        await loop.run_in_executor(
-                            None, self.supervisor.rewarm
-                        )
+                    await loop.run_in_executor(None, self.supervisor.rewarm)
             self._reject(live, PoolBroken(
                 f"worker pool died mid-batch: {exc}",
                 batch_size=len(tasks),
@@ -242,44 +257,35 @@ class MicroBatcher:
             return
         self.supervisor.on_success()
         now = time.monotonic()
-        for (task, future, deadline, budget_ms), payload in zip(live,
-                                                                payloads):
-            if future.cancelled():
+        for entry, payload in zip(live, payloads):
+            if entry.future.cancelled():
                 continue
-            if deadline is not None and now >= deadline:
+            if entry.deadline is not None and now >= entry.deadline:
                 # Expired while the batch was in flight.  Only this entry
                 # turns into a 504 — its batch-mates' payloads are already
                 # computed and untouched.
                 self.expired_in_flight += 1
-                future.set_exception(DeadlineExceeded(
-                    f"deadline of {budget_ms:g} ms expired while the "
-                    f"batch was executing",
-                    graph=task.graph_id,
-                    solver=task.solver,
-                    deadline_ms=budget_ms,
-                ))
+                entry.future.set_exception(
+                    _expired(entry, "batch was executing"))
                 continue
             payload = dict(payload)
             payload["batch_size"] = len(tasks)
-            future.set_result(payload)
+            entry.future.set_result(payload)
 
     @staticmethod
     def _reject(entries: List[_Entry], error: Exception) -> None:
-        for _, future, _, _ in entries:
-            if not future.cancelled():
-                future.set_exception(error)
+        for entry in entries:
+            if not entry.future.cancelled():
+                entry.future.set_exception(error)
 
     # ------------------------------------------------------------------ #
     async def drain(self) -> None:
-        """Stop accepting work, flush everything pending, wait for
-        in-flight barriers.  Queued requests either run to completion or
-        (if the breaker is open) get structured 503s — nothing hangs."""
-        self._draining = True
-        for key in list(self._pending):
-            self._flush_soon(key)
-        while self._inflight:
-            await asyncio.gather(*list(self._inflight),
-                                 return_exceptions=True)
+        """Stop accepting work and wait until every queued entry has been
+        answered.  Queued requests either run to completion or (if the
+        breaker is open) get structured 503s — nothing hangs."""
+        self.draining = True
+        if self._dispatcher is not None:
+            await asyncio.wait([self._dispatcher])
 
     def stats(self) -> Dict[str, Any]:
         return {
@@ -288,7 +294,6 @@ class MicroBatcher:
             "batched_requests": self.batched_requests,
             "max_batch_seen": self.max_batch_seen,
             "pool_breaks": self.pool_breaks,
-            "window_ms": self.window_s * 1000.0,
             "max_batch": self.max_batch,
             "max_queue": self.max_queue,
             "queue_depth": self.queue_depth(),
@@ -297,4 +302,6 @@ class MicroBatcher:
             "rejected_at_dispatch": self.rejected_at_dispatch,
             "expired_in_queue": self.expired_in_queue,
             "expired_in_flight": self.expired_in_flight,
+            "wait_ms": _percentiles(self._wait_ms),
+            "barrier_ms": _percentiles(self._barrier_ms),
         }

@@ -16,7 +16,7 @@ This module is the resilience layer the server threads through
     The one place that turns a client's ``deadline_ms`` (or the server's
     ``--default-deadline-ms``) into an effective budget, capped by
     ``--max-deadline-ms``.  The batcher enforces it twice: expired-in-
-    queue requests are dropped before the flush (never dispatched), and
+    queue requests are dropped before the barrier (never dispatched), and
     expired-in-flight requests get a 504 after the barrier without
     touching their batch-mates' results.
 
@@ -34,7 +34,7 @@ This module is the resilience layer the server threads through
     conservative backend a clean breaker.
 
 All three are event-loop-thread objects: the server mutates them only
-from handler coroutines and the batcher's flush task, so no locking is
+from handler coroutines and the batcher's dispatcher, so no locking is
 needed; the only blocking call is :meth:`ExecutorSupervisor.rewarm`,
 which callers run in a thread (``run_in_executor``) exactly like the
 barriers themselves.

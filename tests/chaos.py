@@ -14,6 +14,10 @@ The latch is what makes the injected faults precise instead of chaotic:
 running clean.  Pass ``latch=False`` to make *every* worker misbehave
 (the retry-exhaustion tests).
 
+For the serving tests, :func:`held_barrier` holds a live server's
+executor barriers on a ``threading.Event`` so a test can build a queued
+state — requests waiting behind a barrier in flight — without a sleep.
+
 Also home to the module-level task functions the remote tests map: a
 remote worker *imports* its task function (pickle-by-reference, like
 spawn-based multiprocessing), so tasks must live in a module both sides
@@ -24,18 +28,22 @@ from __future__ import annotations
 
 import asyncio
 import os
+import threading
 import time
 from contextlib import asynccontextmanager, contextmanager
-from typing import Any, AsyncIterator, Iterator, Optional, Tuple
+from typing import (Any, AsyncIterator, Callable, Iterator, List, Optional,
+                    Tuple)
 
 __all__ = [
     "chaos",
     "boom",
+    "held_barrier",
     "overload_burst",
     "run_async",
     "serve_harness",
     "sleep_ms",
     "square",
+    "wait_until",
     "worker_pid",
 ]
 
@@ -128,6 +136,72 @@ async def serve_harness(
         yield server, ServeClient(port=server.port)
     finally:
         await server.aclose()
+
+
+class HeldBarrier:
+    """A server's executor barriers, held until the test lets them run.
+
+    ``batches`` lists the tasks of every barrier that reached the
+    executor, in order; a barrier is recorded when it *enters*, before it
+    waits.  :meth:`release` lets the barriers waiting now run and holds
+    the later ones again; :meth:`open` stops holding.
+    """
+
+    def __init__(self, map_fn: Callable, timeout: float) -> None:
+        self.batches: List[list] = []
+        self._map = map_fn
+        self._timeout = timeout
+        self._gate = threading.Event()
+
+    def map(self, fn, tasks):
+        tasks = list(tasks)
+        gate = self._gate
+        self.batches.append(tasks)
+        if not gate.wait(self._timeout):
+            raise TimeoutError("a held barrier was never released")
+        return self._map(fn, tasks)
+
+    def release(self) -> None:
+        gate, self._gate = self._gate, threading.Event()
+        gate.set()
+
+    def open(self) -> None:
+        self._gate.set()
+
+
+@contextmanager
+def held_barrier(server: Any, *,
+                 timeout: float = 60.0) -> Iterator[HeldBarrier]:
+    """Make ``server``'s executor ``map`` wait on a ``threading.Event``.
+
+    Inside the block every barrier — the batcher's solves and a re-warm
+    alike — blocks in its executor thread until released, so requests
+    that arrive meanwhile wait in the batch queue, exactly as they do
+    behind a slow barrier.  The block's exit opens the gate; ``timeout``
+    turns a barrier nobody releases into a failed batch, not a hung test.
+    """
+    executor = server.supervisor.executor
+    hold = HeldBarrier(executor.map, timeout)
+    executor.map = hold.map
+    try:
+        yield hold
+    finally:
+        hold.open()
+        del executor.map
+
+
+async def wait_until(predicate: Callable[[], Any], *,
+                     timeout: float = 30.0) -> None:
+    """Yield to the event loop until ``predicate()`` holds.
+
+    Waits on a state, not a duration: however slow the host, the test
+    proceeds exactly when the server has reached the state it checks.
+    """
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        if time.monotonic() >= deadline:
+            raise AssertionError(f"condition not reached in {timeout} s")
+        await asyncio.sleep(0.002)
 
 
 async def overload_burst(

@@ -21,7 +21,7 @@ import pickle
 
 import pytest
 
-from chaos import run_async, serve_harness
+from chaos import held_barrier, run_async, serve_harness, wait_until
 from repro.solve import RunContext, resolve_capability, solve
 from repro.solve.graphs import load_graph
 
@@ -54,6 +54,21 @@ def assert_matches_reference(doc, ref):
     assert got_stats == want_stats
 
 
+async def behind_a_barrier(server, client, requests):
+    """Run the client coroutines ``requests`` as one batch: a blocker
+    holds the executor barrier until every one of them waits in the
+    queue, and the next barrier takes them all."""
+    with held_barrier(server) as hold:
+        blocker = asyncio.ensure_future(client.solve(
+            "demo", solver="matching.greedy_maximal", seed=100))
+        await wait_until(lambda: hold.batches)
+        futs = [asyncio.ensure_future(request) for request in requests]
+        await wait_until(lambda: server.batcher.queue_depth() == len(futs))
+        hold.open()
+        await blocker
+        return await asyncio.gather(*futs)
+
+
 # --------------------------------------------------------------------- #
 # determinism under concurrency
 # --------------------------------------------------------------------- #
@@ -64,21 +79,25 @@ class TestServingDeterminism:
         ref = reference("matching.coreset", seed=3)
 
         async def main():
-            async with serve_harness(graphs=DEMO,
-                                     batch_window_ms=20.0) as (server, client):
-                docs = await asyncio.gather(*(
-                    client.solve("demo", solver="matching.coreset", seed=3,
-                                 k=4, certificate=True)
-                    for _ in range(8)
-                ))
-                return docs
+            async with serve_harness(graphs=DEMO) as (server, client):
+                with held_barrier(server) as hold:
+                    futs = [asyncio.ensure_future(client.solve(
+                        "demo", solver="matching.coreset", seed=3, k=4,
+                        certificate=True)) for _ in range(8)]
+                    # However the eight split between the held barrier and
+                    # the queue, at least one batch holds several.
+                    await wait_until(
+                        lambda: sum(map(len, hold.batches))
+                        + server.batcher.queue_depth() == 8)
+                    hold.open()
+                    return await asyncio.gather(*futs)
 
         docs = run_async(main())
         assert len(docs) == 8
         for doc in docs:
             assert_matches_reference(doc, ref)
-        # The wide window guarantees they shared barriers: at least one
-        # request observed neighbours in its batch.
+        # They shared barriers: at least one request observed neighbours
+        # in its batch.
         assert max(d["batch_size"] for d in docs) > 1
 
     def test_mixed_seeds_stay_isolated_in_one_batch(self):
@@ -88,15 +107,15 @@ class TestServingDeterminism:
         refs = {s: reference("matching.coreset", seed=s) for s in seeds}
 
         async def main():
-            async with serve_harness(graphs=DEMO,
-                                     batch_window_ms=20.0) as (_, client):
-                return await asyncio.gather(*(
+            async with serve_harness(graphs=DEMO) as (server, client):
+                return await behind_a_barrier(server, client, [
                     client.solve("demo", solver="matching.coreset",
                                  seed=s, k=4, certificate=True)
                     for s in seeds
-                ))
+                ])
 
         for seed, doc in zip(seeds, run_async(main())):
+            assert doc["batch_size"] == len(seeds)
             assert_matches_reference(doc, refs[seed])
 
     def test_mixed_solvers_share_a_graph_batch(self):
@@ -104,16 +123,16 @@ class TestServingDeterminism:
         ref_v = reference("vertex_cover.two_approx", seed=0)
 
         async def main():
-            async with serve_harness(graphs=DEMO,
-                                     batch_window_ms=20.0) as (_, client):
-                return await asyncio.gather(
+            async with serve_harness(graphs=DEMO) as (server, client):
+                return await behind_a_barrier(server, client, [
                     client.solve("demo", solver="matching.greedy_maximal",
                                  seed=0, certificate=True),
                     client.solve("demo", solver="vertex_cover.two_approx",
                                  seed=0, certificate=True),
-                )
+                ])
 
         doc_m, doc_v = run_async(main())
+        assert doc_m["batch_size"] == doc_v["batch_size"] == 2
         assert_matches_reference(doc_m, ref_m)
         assert_matches_reference(doc_v, ref_v)
 
@@ -312,6 +331,27 @@ class TestCompare:
         assert first["label"] == "alpha=2"
         assert first["params"] == {"alpha": 2.0}
         assert first["result"]["value"] == ref.value
+
+    def test_one_compare_is_one_barrier(self):
+        """A /compare that mixes coreset solvers, which lease partition
+        views, with solvers that do not still runs as one barrier."""
+        solvers = ["matching.coreset", "vertex_cover.coreset",
+                   "matching.mapreduce", "matching.streaming_greedy"]
+        refs = {name: reference(name, seed=5) for name in solvers}
+
+        async def main():
+            async with serve_harness(graphs=DEMO) as (_, client):
+                before = (await client.stats())["batcher"]
+                doc = await client.compare("demo", solvers, seed=5, k=4)
+                after = (await client.stats())["batcher"]
+                return before, doc, after
+
+        before, doc, after = run_async(main())
+        assert after["batches"] - before["batches"] == 1
+        assert after["max_batch_seen"] >= 4
+        for column in doc["solvers"]:
+            assert column["ok"], column
+            assert column["result"]["value"] == refs[column["solver"]].value
 
     def test_compare_needs_two_entries(self):
         async def main():

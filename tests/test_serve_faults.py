@@ -71,7 +71,7 @@ class TestWorkerCrash:
         structured failure each) — and a full follow-up wave succeeds."""
         with chaos(tmp_path, kill=True):
             async def main():
-                async with serve_harness(graphs=DEMO, batch_window_ms=20.0,
+                async with serve_harness(graphs=DEMO,
                                          **PROC) as (_, client):
                     first = await asyncio.gather(*(
                         client.solve("demo", solver="matching.coreset",
@@ -131,7 +131,7 @@ class TestUnpinUnderLoad:
         the graph is gone afterwards, and the id is reusable."""
         with chaos(tmp_path, slow_ms=150, latch=False):
             async def main():
-                async with serve_harness(graphs=DEMO, batch_window_ms=20.0,
+                async with serve_harness(graphs=DEMO,
                                          **PROC) as (_, client):
                     inflight = [asyncio.ensure_future(
                         client.solve("demo", solver="matching.coreset",

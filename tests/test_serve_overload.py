@@ -31,7 +31,8 @@ import time
 
 import pytest
 
-from chaos import chaos, overload_burst, run_async, serve_harness
+from chaos import (chaos, held_barrier, overload_burst, run_async,
+                   serve_harness, wait_until)
 from repro.solve import RunContext, solve
 from repro.solve.graphs import load_graph
 
@@ -41,6 +42,7 @@ GRAPH_SPEC = "planted:n=300,p=0.03"
 GRAPH_SEED = 11
 DEMO = (("demo", GRAPH_SPEC, GRAPH_SEED),)
 PROC = dict(executor="processes", workers=2)
+GREEDY = "matching.greedy_maximal"
 
 
 def reference(solver: str, seed: int, k=None, **params):
@@ -74,8 +76,7 @@ class TestAdmissionControl:
         with chaos(tmp_path, slow_ms=150, latch=False):
             async def main():
                 async with serve_harness(
-                    graphs=DEMO, batch_window_ms=20.0, max_inflight=4,
-                    **PROC,
+                    graphs=DEMO, max_inflight=4, **PROC,
                 ) as (server, client):
                     buckets = await overload_burst(client, "demo", 8)
                     statz = await client.statz()
@@ -108,8 +109,7 @@ class TestAdmissionControl:
             async def main():
                 async with serve_harness(
                     graphs=DEMO + (("alt", GRAPH_SPEC, GRAPH_SEED),),
-                    batch_window_ms=20.0, max_inflight_per_graph=2,
-                    **PROC,
+                    max_inflight_per_graph=2, **PROC,
                 ) as (_, client):
                     hot, cold = await asyncio.gather(
                         overload_burst(client, "demo", 4),
@@ -131,9 +131,19 @@ class TestAdmissionControl:
         get 429 queue_full while the queued ones complete normally."""
         async def main():
             async with serve_harness(
-                graphs=DEMO, batch_window_ms=300.0, max_queue=3,
+                graphs=DEMO, max_queue=3,
             ) as (server, client):
-                buckets = await overload_burst(client, "demo", 8)
+                with held_barrier(server) as hold:
+                    blocker = asyncio.ensure_future(
+                        client.solve("demo", solver=GREEDY, seed=100))
+                    await wait_until(lambda: hold.batches)
+                    burst = asyncio.ensure_future(
+                        overload_burst(client, "demo", 8))
+                    await wait_until(
+                        lambda: server.batcher.rejected_queue_full == 5)
+                    hold.open()
+                    buckets = await burst
+                    await blocker
                 statz = await client.statz()
                 return buckets, statz, server.batcher.stats()
 
@@ -143,11 +153,57 @@ class TestAdmissionControl:
         for exc in buckets["overloaded"]:
             assert exc.doc["error"]["reason"] == "queue_full"
             assert exc.retry_after is not None
+            assert exc.doc["error"]["retry_after_ms"] == 50.0
         for doc in buckets["ok"]:
             assert_matches_reference(
                 doc, reference("matching.greedy_maximal", doc["seed"]))
         assert statz["queue"]["rejected_queue_full"] == 5
         assert batch["max_queue_seen"] <= 3
+
+    def test_queue_bound_counts_requests_waiting_behind_a_barrier(self):
+        """Every request waiting for a barrier counts against the
+        readiness watermark and --max-queue, however long the barrier in
+        flight runs: /readyz turns not-ready at the watermark, and once
+        max_queue requests wait, the next one is shed with queue_full."""
+        async def main():
+            async with serve_harness(
+                graphs=DEMO, max_queue=4, ready_watermark=2,
+            ) as (server, client):
+                with held_barrier(server) as hold:
+                    blocker = asyncio.ensure_future(
+                        client.solve("demo", solver=GREEDY, seed=100))
+                    await wait_until(lambda: hold.batches)
+                    queued = [asyncio.ensure_future(
+                        client.solve("demo", solver=GREEDY, seed=s))
+                        for s in range(2)]
+                    await wait_until(lambda: server.batcher.requests == 3)
+                    # A barrier that runs long changes nothing: the two
+                    # requests keep waiting in the queue, and counted.
+                    await asyncio.sleep(0.05)
+                    at_watermark = await client.readyz()
+                    queued += [asyncio.ensure_future(
+                        client.solve("demo", solver=GREEDY, seed=s))
+                        for s in range(2, 4)]
+                    await wait_until(lambda: server.batcher.requests == 5)
+                    with pytest.raises(ServeClientError) as err:
+                        await client.solve("demo", solver=GREEDY, seed=9)
+                    depth = server.batcher.queue_depth()
+                    hold.open()
+                    await blocker
+                    docs = await asyncio.gather(*queued)
+                return at_watermark, err.value, depth, docs, hold.batches
+
+        at_watermark, shed, depth, docs, batches = run_async(main())
+        ready, doc = at_watermark
+        assert ready is False
+        assert any("watermark 2" in r for r in doc["reasons"])
+        assert shed.status == 429
+        assert shed.doc["error"]["reason"] == "queue_full"
+        assert depth == 4
+        for seed, doc in enumerate(docs):
+            assert_matches_reference(doc, reference(GREEDY, seed))
+        # The four queued requests ran as one barrier behind the blocker.
+        assert [len(b) for b in batches] == [1, 4]
 
 
 # --------------------------------------------------------------------- #
@@ -155,47 +211,66 @@ class TestAdmissionControl:
 # --------------------------------------------------------------------- #
 class TestDeadlines:
     def test_expired_in_queue_is_never_dispatched(self):
-        """A request whose deadline passes inside the batch window is
-        dropped before the flush: 504, and zero batches dispatched."""
+        """A request whose deadline passes while it waits behind a
+        barrier is dropped before its own: 504, and the expired task
+        never reaches the executor."""
         async def main():
-            async with serve_harness(
-                graphs=DEMO, batch_window_ms=250.0,
-            ) as (server, client):
-                with pytest.raises(ServeClientError) as err:
-                    await client.solve("demo",
-                                       solver="matching.greedy_maximal",
-                                       seed=0, deadline_ms=40)
+            async with serve_harness(graphs=DEMO) as (server, client):
+                with held_barrier(server) as hold:
+                    blocker = asyncio.ensure_future(
+                        client.solve("demo", solver=GREEDY, seed=100))
+                    await wait_until(lambda: hold.batches)
+                    late = asyncio.ensure_future(client.solve(
+                        "demo", solver=GREEDY, seed=0, deadline_ms=40))
+                    await wait_until(
+                        lambda: server.batcher.queue_depth() == 1)
+                    await asyncio.sleep(0.06)  # outlive the 40 ms budget
+                    hold.open()
+                    await blocker
+                    with pytest.raises(ServeClientError) as err:
+                        await late
                 statz = await client.statz()
-                return err.value, statz, server.batcher.stats()
+                return (err.value, statz, server.batcher.stats(),
+                        hold.batches)
 
-        exc, statz, batch = run_async(main())
+        exc, statz, batch, batches = run_async(main())
         assert exc.status == 504
         assert exc.code == "deadline_exceeded"
         assert exc.doc["error"]["deadline_ms"] == 40
         assert batch["expired_in_queue"] == 1
-        assert batch["batches"] == 0  # the whole point: never dispatched
+        # The whole point: never dispatched.  Only the blocker's barrier
+        # reached the executor.
+        assert [[t.seed for t in b] for b in batches] == [[100]]
+        assert batch["batches"] == 1
         assert statz["deadlines"]["expired_in_queue"] == 1
 
-    def test_expired_in_flight_spares_its_batchmates(self, tmp_path):
+    def test_expired_in_flight_spares_its_batchmates(self):
         """One entry expires while its shared batch executes: it gets a
         504, its batch-mate's result is bit-identical and untouched."""
-        with chaos(tmp_path, slow_ms=250, latch=False):
-            async def main():
-                async with serve_harness(
-                    graphs=DEMO, batch_window_ms=30.0, **PROC,
-                ) as (server, client):
-                    tight, roomy = await asyncio.gather(
-                        client.solve("demo",
-                                     solver="matching.greedy_maximal",
-                                     seed=1, deadline_ms=100),
-                        client.solve("demo",
-                                     solver="matching.greedy_maximal",
-                                     seed=2),
+        async def main():
+            async with serve_harness(graphs=DEMO) as (server, client):
+                with held_barrier(server) as hold:
+                    blocker = asyncio.ensure_future(
+                        client.solve("demo", solver=GREEDY, seed=100))
+                    await wait_until(lambda: hold.batches)
+                    pair = asyncio.gather(
+                        client.solve("demo", solver=GREEDY, seed=1,
+                                     deadline_ms=500),
+                        client.solve("demo", solver=GREEDY, seed=2),
                         return_exceptions=True,
                     )
-                    return tight, roomy, server.batcher.stats()
+                    await wait_until(
+                        lambda: server.batcher.queue_depth() == 2)
+                    hold.release()  # the blocker's barrier runs...
+                    await wait_until(lambda: len(hold.batches) == 2)
+                    # ...and the pair's is in flight: outlive the budget.
+                    await asyncio.sleep(0.55)
+                    hold.open()
+                    await blocker
+                    tight, roomy = await pair
+                return tight, roomy, server.batcher.stats()
 
-            tight, roomy, batch = run_async(main())
+        tight, roomy, batch = run_async(main())
         assert isinstance(tight, ServeClientError)
         assert tight.status == 504
         assert tight.code == "deadline_exceeded"
@@ -210,16 +285,26 @@ class TestDeadlines:
         --max-deadline-ms caps clients that ask for too much."""
         async def main():
             async with serve_harness(
-                graphs=DEMO, batch_window_ms=200.0,
-                default_deadline_ms=60.0, max_deadline_ms=80.0,
-            ) as (_, client):
-                outcomes = await asyncio.gather(
-                    client.solve("demo", solver="matching.greedy_maximal",
-                                 seed=0),
-                    client.solve("demo", solver="matching.greedy_maximal",
-                                 seed=1, deadline_ms=500000),
-                    return_exceptions=True,
-                )
+                graphs=DEMO, default_deadline_ms=60.0, max_deadline_ms=80.0,
+            ) as (server, client):
+                with held_barrier(server) as hold:
+                    # The blocker holds the barrier; its own (defaulted)
+                    # budget runs out in flight.
+                    blocker = asyncio.ensure_future(
+                        client.solve("demo", solver=GREEDY, seed=100))
+                    await wait_until(lambda: hold.batches)
+                    queued = asyncio.gather(
+                        client.solve("demo", solver=GREEDY, seed=0),
+                        client.solve("demo", solver=GREEDY, seed=1,
+                                     deadline_ms=500000),
+                        return_exceptions=True,
+                    )
+                    await wait_until(
+                        lambda: server.batcher.queue_depth() == 2)
+                    await asyncio.sleep(0.1)  # outlive both budgets
+                    hold.open()
+                    outcomes = await queued
+                    await asyncio.gather(blocker, return_exceptions=True)
                 statz = await client.statz()
                 return outcomes, statz
 
@@ -231,6 +316,7 @@ class TestDeadlines:
         assert capped.status == 504
         assert capped.doc["error"]["deadline_ms"] == 80.0  # not 500000
         assert statz["deadlines"]["expired_in_queue"] == 2
+        assert statz["deadlines"]["expired_in_flight"] == 1  # the blocker
 
     def test_invalid_deadline_is_a_400(self):
         async def main():
@@ -388,14 +474,19 @@ class TestBreaker:
         is anywhere near — the early-warning seam for load balancers."""
         async def main():
             async with serve_harness(
-                graphs=DEMO, batch_window_ms=400.0, ready_watermark=2,
-            ) as (_, client):
-                futs = [asyncio.ensure_future(client.solve(
-                    "demo", solver="matching.greedy_maximal", seed=s))
-                    for s in range(3)]
-                await asyncio.sleep(0.1)  # queued, window still open
-                ready_loaded, doc = await client.readyz()
-                await asyncio.gather(*futs)
+                graphs=DEMO, ready_watermark=2,
+            ) as (server, client):
+                with held_barrier(server) as hold:
+                    futs = [asyncio.ensure_future(client.solve(
+                        "demo", solver=GREEDY, seed=100))]
+                    await wait_until(lambda: hold.batches)
+                    futs += [asyncio.ensure_future(client.solve(
+                        "demo", solver=GREEDY, seed=s)) for s in range(2)]
+                    await wait_until(
+                        lambda: server.batcher.queue_depth() == 2)
+                    ready_loaded, doc = await client.readyz()
+                    hold.open()
+                    await asyncio.gather(*futs)
                 ready_after, _ = await client.readyz()
                 return ready_loaded, doc, ready_after
 
@@ -403,6 +494,51 @@ class TestBreaker:
         assert ready_loaded is False
         assert any("watermark" in r for r in doc["reasons"])
         assert ready_after is True
+
+
+# --------------------------------------------------------------------- #
+# queue-wait and barrier percentiles on /statz
+# --------------------------------------------------------------------- #
+class TestQueueLatency:
+    def test_statz_reports_wait_and_barrier_percentiles(self):
+        """Every dispatched request adds one queue-wait sample and every
+        barrier one barrier sample; each ring reports ordered p50, p95
+        and p99."""
+        async def main():
+            async with serve_harness(graphs=DEMO) as (server, client):
+                before = (await client.statz())["queue"]
+                with held_barrier(server) as hold:
+                    futs = [asyncio.ensure_future(
+                        client.solve("demo", solver=GREEDY, seed=100))]
+                    await wait_until(lambda: hold.batches)
+                    futs += [asyncio.ensure_future(client.solve(
+                        "demo", solver=GREEDY, seed=s)) for s in range(3)]
+                    await wait_until(
+                        lambda: server.batcher.queue_depth() == 3)
+                    hold.open()
+                    await asyncio.gather(*futs)
+                return before, (await client.statz())["queue"]
+
+        before, after = run_async(main())
+        empty = {"samples": 0, "p50": None, "p95": None, "p99": None}
+        assert before["wait_ms"] == before["barrier_ms"] == empty
+        assert after["wait_ms"]["samples"] == 4
+        assert after["barrier_ms"]["samples"] == 2  # blocker, then three
+        for ring in (after["wait_ms"], after["barrier_ms"]):
+            assert 0 <= ring["p50"] <= ring["p95"] <= ring["p99"]
+
+    def test_percentiles_are_nearest_rank_over_a_bounded_ring(self):
+        from collections import deque
+
+        from repro.serve.batcher import RING_SIZE, _percentiles
+
+        ring = deque(maxlen=RING_SIZE)
+        ring.extend(float(x) for x in range(1, 101))
+        assert _percentiles(ring) == {"samples": 100, "p50": 50.0,
+                                      "p95": 95.0, "p99": 99.0}
+        ring.extend([0.0] * RING_SIZE)  # the newest replace the oldest
+        assert _percentiles(ring)["samples"] == RING_SIZE
+        assert _percentiles(ring)["p99"] == 0.0
 
 
 # --------------------------------------------------------------------- #
@@ -695,18 +831,24 @@ class TestClientRetries:
 # --------------------------------------------------------------------- #
 class TestDrain:
     def test_drain_flushes_queued_requests_to_completion(self):
-        """A healthy drain doesn't drop queued work: entries still inside
-        the batch window are flushed early and answered; only *new* work
-        is refused (503 shutting_down)."""
+        """A healthy drain doesn't drop queued work: entries waiting
+        behind the barrier in flight when the drain starts are run and
+        answered; only *new* work is refused (503 shutting_down)."""
         async def main():
-            async with serve_harness(
-                graphs=DEMO, batch_window_ms=400.0,
-            ) as (server, client):
-                futs = [asyncio.ensure_future(client.solve(
-                    "demo", solver="matching.greedy_maximal", seed=s))
-                    for s in range(2)]
-                await asyncio.sleep(0.1)  # queued; window is 400 ms
-                await server.batcher.drain()
+            async with serve_harness(graphs=DEMO) as (server, client):
+                with held_barrier(server) as hold:
+                    blocker = asyncio.ensure_future(
+                        client.solve("demo", solver=GREEDY, seed=100))
+                    await wait_until(lambda: hold.batches)
+                    futs = [asyncio.ensure_future(client.solve(
+                        "demo", solver=GREEDY, seed=s)) for s in range(2)]
+                    await wait_until(
+                        lambda: server.batcher.queue_depth() == 2)
+                    drain = asyncio.ensure_future(server.batcher.drain())
+                    await wait_until(lambda: server.batcher.draining)
+                    hold.open()
+                    await drain
+                    await blocker
                 docs = await asyncio.gather(*futs)
                 with pytest.raises(ServeClientError) as err:
                     await client.solve(
@@ -729,29 +871,31 @@ class TestDrain:
             async def main():
                 async with serve_harness(
                     graphs=DEMO + (("alt", GRAPH_SPEC, GRAPH_SEED),),
-                    batch_window_ms=500.0, max_batch=2,
                     breaker_threshold=1, breaker_backoff_ms=20000.0,
                     **PROC,
                 ) as (server, client):
-                    # One request queued on 'alt' (window 500 ms: pending).
-                    queued = asyncio.ensure_future(client.solve(
-                        "alt", solver="matching.greedy_maximal", seed=0))
-                    await asyncio.sleep(0.05)
-                    # Two on 'demo' hit max_batch → immediate flush → the
-                    # kill-storm breaks the pool → breaker opens.
-                    broken = await asyncio.gather(
-                        client.solve("demo",
-                                     solver="matching.greedy_maximal",
-                                     seed=1),
-                        client.solve("demo",
-                                     solver="matching.greedy_maximal",
-                                     seed=2),
-                        return_exceptions=True,
-                    )
-                    await server.aclose()  # SIGTERM path; idempotent
+                    with held_barrier(server) as hold:
+                        # One on 'demo' holds the barrier; once released,
+                        # the kill-storm breaks the pool and the breaker
+                        # opens.
+                        broken = asyncio.gather(
+                            client.solve("demo", solver=GREEDY, seed=1),
+                            return_exceptions=True,
+                        )
+                        await wait_until(lambda: hold.batches)
+                        # One request queued on 'alt' behind them.
+                        queued = asyncio.ensure_future(client.solve(
+                            "alt", solver=GREEDY, seed=0))
+                        await wait_until(
+                            lambda: server.batcher.queue_depth() == 1)
+                        # SIGTERM path; idempotent.
+                        closing = asyncio.ensure_future(server.aclose())
+                        await wait_until(lambda: server.batcher.draining)
+                        hold.open()
+                        await closing
                     outcome = await asyncio.gather(
                         queued, return_exceptions=True)
-                    return broken, outcome[0]
+                    return await broken, outcome[0]
 
             broken, queued_outcome = run_async(main())
         for exc in broken:
