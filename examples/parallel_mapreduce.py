@@ -5,10 +5,10 @@ Scenario: the E8 MapReduce matching workload is CPU-bound — every machine
 computes a maximum matching of its piece — and the machines are independent
 by construction.  The executor backends (repro.dist.executor) exploit that:
 the identical `run_simultaneous` / `mapreduce_matching` call runs the k
-machines serially, on a thread pool, or on one process per machine, and the
-determinism contract (docs/PARALLELISM.md) guarantees the outputs are
-bit-identical per seed across all of them — results are composed in
-machine-index order, never completion order.
+machines serially or on a process pool, and the determinism contract
+(docs/PARALLELISM.md) guarantees the outputs are bit-identical per seed
+across both — results are composed in machine-index order, never
+completion order.
 
 This script runs the workload once per backend, checks bit-identity against
 serial, and reports wall-clock.  Speedups depend on your core count and the
@@ -29,7 +29,7 @@ from repro.graph.generators import planted_matching_gnp
 from repro.graph.partition import random_k_partition
 from repro.utils.rng import spawn_generators
 
-BACKENDS = ["serial", "threads", "processes"]
+BACKENDS = ["serial", "processes"]
 
 
 def main() -> None:

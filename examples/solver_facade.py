@@ -47,7 +47,7 @@ def main() -> None:
               f"{str(res.verified):>8s} {res.wall_time_s:7.3f}s  {extra}")
 
     # Re-running with the same context is bit-identical — the contract
-    # every backend (serial/threads/processes) upholds.
+    # every backend (serial/processes/remote) upholds.
     again = solve(graph, "matching.coreset", ctx)
     first = solve(graph, "matching.coreset", ctx)
     assert (first.certificate == again.certificate).all()

@@ -31,7 +31,7 @@ def quickstart_matching(
     measured approximation ratio and communication.
 
     ``executor`` picks where the k machines run (``"serial"``,
-    ``"threads"``, ``"processes"``, or ``None`` for ``$REPRO_EXECUTOR``);
+    ``"processes"``, ``"remote"``, or ``None`` for ``$REPRO_EXECUTOR``);
     the numbers are bit-identical across backends for the same seed.
     Returns a dict with keys ``optimum``, ``output``, ``ratio``,
     ``total_bits``, ``bits_per_machine``.

@@ -32,7 +32,7 @@ tuples) and machine-readable output (``--json PATH`` writes a JSON
 document, ``--json -`` prints it to stdout instead of the text table).
 
 ``--executor`` / ``--workers`` select the execution backend (`serial`,
-`threads`, `processes`, `remote`); they work by setting ``REPRO_EXECUTOR`` /
+`processes`, `remote`); they work by setting ``REPRO_EXECUTOR`` /
 ``REPRO_WORKERS`` for the run, which is where the trial harness
 (``run_trials``) and the distributed engines (``run_simultaneous``,
 ``MapReduceSimulator``) resolve their defaults, so every experiment picks
@@ -243,8 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
         "serve",
         help="run the matching-as-a-service HTTP server (repro.serve)",
         description="Serve the solver registry over HTTP: graphs load "
-                    "once and stay pinned, a persistent executor pool "
-                    "stays warm, concurrent POST /solve requests "
+                    "once and stay pinned, one executor serves every "
+                    "request (a pooled backend stays warm), concurrent "
+                    "POST /solve requests "
                     "micro-batch into single barriers, and solvers "
                     "resolve by capability (problem/model/guarantee). "
                     "See docs/SERVING.md.",
@@ -314,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_executor_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
-        "--executor", choices=["serial", "threads", "processes", "remote"],
+        "--executor", choices=["serial", "processes", "remote"],
         default=None,
         help="execution backend for trial fan-out and the distributed "
              "engines (default: $REPRO_EXECUTOR or serial); outputs are "
@@ -322,7 +323,7 @@ def _add_executor_flags(sub: argparse.ArgumentParser) -> None:
     )
     sub.add_argument(
         "--workers", type=int, default=None,
-        help="worker count for threads/processes/remote "
+        help="worker count for processes/remote "
              "(default: $REPRO_WORKERS or the cpu count)",
     )
 

@@ -145,7 +145,7 @@ def mapreduce_matching(
     """O(1)-approximate maximum matching in ≤ 2 MapReduce rounds.
 
     ``executor`` selects the backend the simulated machines run on
-    (serial / threads / processes; see :mod:`repro.dist.executor`) —
+    (serial / processes / remote; see :mod:`repro.dist.executor`) —
     results are bit-identical per seed across all backends.
     """
     gen = as_generator(rng)
@@ -192,7 +192,7 @@ def mapreduce_vertex_cover(
     """O(log n)-approximate vertex cover in ≤ 2 MapReduce rounds.
 
     ``executor`` selects the backend the simulated machines run on
-    (serial / threads / processes; see :mod:`repro.dist.executor`) —
+    (serial / processes / remote; see :mod:`repro.dist.executor`) —
     results are bit-identical per seed across all backends.
     """
     gen, cover_gen = spawn_generators(rng, 2)

@@ -25,7 +25,7 @@ substrate, independent of any particular coreset:
   :class:`~repro.dist.mapreduce.MapReduceSimulator` with per-machine memory
   caps, for the paper's 2-round MPC corollaries.
 * :mod:`repro.dist.executor` — pluggable execution backends (``serial``,
-  ``threads``, ``processes``, ``remote``) for the per-machine work of both
+  ``processes``, ``remote``) for the per-machine work of both
   engines, with persistent worker pools amortized across rounds and trials.
 * :mod:`repro.dist.shm` — shared-memory edge segments: the
   :class:`~repro.dist.shm.SharedEdgeStore` places a graph's edge array in
@@ -75,7 +75,6 @@ from repro.dist.executor import (
     ExecutorError,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     UnpicklableTaskError,
     WorkerPoolBrokenError,
     available_backends,
@@ -121,7 +120,6 @@ __all__ = [
     "SharedEdgeStore",
     "SharedStoreClosedError",
     "SimultaneousProtocol",
-    "ThreadExecutor",
     "UnpicklableTaskError",
     "WorkerPoolBrokenError",
     "available_backends",

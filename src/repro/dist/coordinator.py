@@ -15,8 +15,8 @@ setup) from a single seed, collects one message per machine, charges every
 message to the :class:`~repro.dist.ledger.CommunicationLedger`, and hands
 the messages to the coordinator.  Given the same seed and partition the
 whole run is bit-identical — the reproducibility contract every experiment
-relies on.  The per-machine work can run serially, on a thread pool, or on
-a process pool (:mod:`repro.dist.executor`) without changing a single
+relies on.  The per-machine work can run serially, on a process pool, or
+on a remote fleet (:mod:`repro.dist.executor`) without changing a single
 output bit: machines are composed in index order, never completion order.
 """
 
@@ -189,7 +189,7 @@ def run_simultaneous(
     execution order.
 
     ``executor`` selects how the k machines run (``"serial"``,
-    ``"threads"``, ``"processes"``, an :class:`~repro.dist.executor.Executor`
+    ``"processes"``, ``"remote"``, an :class:`~repro.dist.executor.Executor`
     instance, or ``None`` for ``$REPRO_EXECUTOR``/serial).  Machine work is
     submitted and collected in machine-index order, the ledger is charged
     after the barrier in that same order, and the public setup and the

@@ -6,7 +6,7 @@ results.  That independence is already real in the code — per-machine
 generators are spawned from one ``SeedSequence`` and graph pieces are
 immutable views — so the engine can fan the per-machine work out to an
 :class:`Executor` without changing a single output bit.  This module
-provides the three backends and the resolution logic shared by
+provides the backends and the resolution logic shared by
 :func:`~repro.dist.coordinator.run_simultaneous`,
 :class:`~repro.dist.mapreduce.MapReduceSimulator`, and
 :func:`~repro.experiments.harness.run_trials`.
@@ -23,10 +23,6 @@ Backends
 ``serial``
     A plain loop in the calling process.  The default; zero overhead and
     no constraints on the task functions.
-``threads``
-    ``concurrent.futures.ThreadPoolExecutor``.  Shares memory with the
-    caller, so closures are fine; pays the GIL, so it only helps when the
-    per-machine work releases it (large numpy kernels) or when tasks block.
 ``processes``
     ``concurrent.futures.ProcessPoolExecutor``.  True parallelism, but
     every task — including the protocol's summarizer or the round's
@@ -42,7 +38,7 @@ Backends
 
 Lifecycle
 ---------
-Executors are **persistent**: the thread/process pool is created lazily on
+Executors are **persistent**: a process pool is created lazily on
 the first :meth:`Executor.map` call that needs it and *reused* by every
 subsequent call until :meth:`Executor.close`.  That is what lets an
 r-round MapReduce job or an n-trial sweep pay pool start-up (fork + import)
@@ -83,7 +79,7 @@ from __future__ import annotations
 
 import os
 import pickle
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Iterable, List, Optional, Union
 
@@ -96,7 +92,6 @@ __all__ = [
     "ExecutorSpec",
     "ProcessExecutor",
     "SerialExecutor",
-    "ThreadExecutor",
     "UnpicklableTaskError",
     "WorkerPoolBrokenError",
     "available_backends",
@@ -215,55 +210,6 @@ class SerialExecutor(Executor):
     def map(self, fn: Callable[[Any], Any], tasks: Iterable[Any]) -> List[Any]:
         self._ensure_open()
         return [fn(t) for t in tasks]
-
-
-class ThreadExecutor(Executor):
-    """A ``ThreadPoolExecutor`` backend (shared memory, GIL-bound).
-
-    The pool is created on the first multi-task :meth:`map` and reused by
-    every later call until :meth:`close`.
-
-    Parameters
-    ----------
-    max_workers:
-        Thread count; defaults to ``$REPRO_WORKERS`` or the cpu count.
-    """
-
-    name = "threads"
-
-    def __init__(self, max_workers: Optional[int] = None) -> None:
-        super().__init__()
-        self.max_workers = _default_workers(max_workers)
-        self._pool: Optional[ThreadPoolExecutor] = None
-        #: How many pools this executor has created over its lifetime.
-        #: Stays at 1 across barriers unless a pool was discarded —
-        #: the observable half of the persistence contract (§6).
-        self.pools_created = 0
-
-    def map(self, fn: Callable[[Any], Any], tasks: Iterable[Any]) -> List[Any]:
-        self._ensure_open()
-        tasks = list(tasks)
-        if len(tasks) <= 1 and self._pool is None:
-            # A single task gains nothing from spinning up a pool.
-            return [fn(t) for t in tasks]
-        return list(self._ensure_pool().map(fn, tasks))
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(max_workers=self.max_workers)
-            self.pools_created += 1
-        return self._pool
-
-    def close(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-        super().close()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "closed" if self._closed else (
-            "pool" if self._pool is not None else "lazy")
-        return f"ThreadExecutor(max_workers={self.max_workers}, {state})"
 
 
 class ProcessExecutor(Executor):
@@ -392,7 +338,7 @@ def _pickle_advice(what: str, exc: Exception) -> str:
         f"the executor cannot ship {what} to a worker: it is not "
         f"picklable. Summarizers, route functions, and compute functions "
         f"must be defined at module level (closures and lambdas cannot be "
-        f"pickled); alternatively use the 'threads' or 'serial' backend. "
+        f"pickled); alternatively use the 'serial' backend. "
         f"Underlying error: {exc}"
     )
 
@@ -408,7 +354,6 @@ def _make_remote(max_workers: Optional[int] = None) -> Executor:
 
 _BACKENDS = {
     "serial": SerialExecutor,
-    "threads": ThreadExecutor,
     "processes": ProcessExecutor,
     "remote": _make_remote,
 }
@@ -416,7 +361,6 @@ _BACKENDS = {
 _ALIASES = {
     "none": "serial",
     "sync": "serial",
-    "thread": "threads",
     "process": "processes",
     "mp": "processes",
 }

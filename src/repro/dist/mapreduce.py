@@ -22,7 +22,7 @@ log, so experiments can report round counts, shuffle volume, and peak
 memory without instrumenting the algorithms themselves.
 
 Rounds are barriers, so per-machine route/compute work can run on any
-:mod:`repro.dist.executor` backend (serial, threads, processes) with
+:mod:`repro.dist.executor` backend (serial, processes, remote) with
 bit-identical results per seed: outputs and advanced generator states are
 adopted in machine-index order after every round.
 """
@@ -126,7 +126,7 @@ class MapReduceSimulator:
         round.
     executor:
         How per-machine round work runs: ``"serial"`` (default),
-        ``"threads"``, ``"processes"``, an
+        ``"processes"``, ``"remote"``, an
         :class:`~repro.dist.executor.Executor` instance, or ``None`` to
         consult ``$REPRO_EXECUTOR``.  Rounds are barriers: results are
         adopted in machine-index order, and each machine's generator state

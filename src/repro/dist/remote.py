@@ -1,8 +1,8 @@
 """Remote execution: a socket coordinator plus ``repro worker`` processes.
 
-The first three backends (:mod:`repro.dist.executor`) stop at one host —
-threads and process pools both assume the operating system can see every
-worker.  :class:`RemoteExecutor` is the distributed seam the paper's model
+The local backends (:mod:`repro.dist.executor`) stop at one host — a
+process pool assumes the operating system can see every worker.
+:class:`RemoteExecutor` is the distributed seam the paper's model
 actually describes: a **coordinator** that listens on a TCP socket and k
 **workers** that connect to it (``repro worker --connect HOST:PORT``),
 exchange length-prefixed pickled frames, and execute the same task tuples

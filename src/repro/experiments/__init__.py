@@ -2,8 +2,8 @@
 E1–E21 registry that regenerates every quantitative claim of the paper.
 
 The public surface is the registry (``get_experiment("e1").run(...)``);
-``tables`` keeps the legacy callable-per-experiment names, and ``trials``
-holds the picklable per-trial dataclasses.  See ``docs/EXPERIMENTS_API.md``.
+importing ``tables`` registers every spec, and ``trials`` holds the
+picklable per-trial dataclasses.  See ``docs/EXPERIMENTS_API.md``.
 """
 
 from repro.experiments.harness import ExperimentTable, run_trials

@@ -1,23 +1,22 @@
 """The substrate performance harness behind ``repro bench``.
 
 Every claim the executor substrate makes — persistent pools beat per-call
-pools, the remote piece cache ships each piece once per worker, the greedy
-scan rewrite beats the list-append scan — is measured here, on the same
-scenario sizes the experiment suite uses (E1's small grids, E8's MapReduce
-workload, E21's parallel-scaling size), and written to a structured
-``BENCH_substrate.json`` artifact that CI uploads and future commits can
-compare against.  ``--check`` turns the two load-bearing claims into hard
-assertions (exit code 1 on regression), which is what the
-``substrate-perf`` CI job runs.
+pools, the remote piece cache ships each piece once per worker — is
+measured here, on the same scenario sizes the experiment suite uses (E1's
+small grids, E8's MapReduce workload, E21's parallel-scaling size), and
+written to a structured ``BENCH_substrate.json`` artifact that CI uploads
+and future commits can compare against.  ``--check`` turns the two
+load-bearing claims into hard assertions (exit code 1 on regression),
+which is what the ``substrate-perf`` CI job runs.
 
 The sections:
 
 ``pool_lifecycle``
     Per-barrier *substrate overhead* of R back-to-back
     ``run_simultaneous`` barriers per backend variant: ``serial``,
-    ``threads-persistent``, ``processes-cold`` (a fresh pool per barrier
-    — the pre-lifecycle behavior, reconstructed by resolving the
-    executor by name inside the loop) and ``processes-persistent`` (one
+    ``processes-cold`` (a fresh pool per barrier — the pre-lifecycle
+    behavior, reconstructed by resolving the executor by name inside the
+    loop) and ``processes-persistent`` (one
     :class:`~repro.dist.executor.ProcessExecutor` reused across all R
     barriers).  The barriers run the transfer probe (compute-light), so
     the column *is* the pool cost: on a compute-heavy workload a ±5%
@@ -25,12 +24,6 @@ The sections:
     measured — real-workload backend scaling is E21's table, not this
     one.  Every variant's outputs are asserted bit-identical to serial
     before its row is recorded.
-
-``matching_scan``
-    The sequential greedy-matching scan
-    (:func:`repro.matching.maximal.greedy_maximal_matching`) against a
-    reference implementation of the pre-optimization scan (two Python
-    lists + ``np.stack``, one edge at a time), asserted output-identical.
 
 ``solver_facade``
     One representative solver per execution model (offline, coreset,
@@ -152,7 +145,7 @@ def _run_pool_lifecycle(
     scenarios: Sequence[Dict[str, Any]], workers: int, repeats_override: Optional[int]
 ) -> List[Dict[str, Any]]:
     from repro.dist.coordinator import run_simultaneous
-    from repro.dist.executor import ProcessExecutor, ThreadExecutor
+    from repro.dist.executor import ProcessExecutor
 
     proto = _probe_protocol()
     rows: List[Dict[str, Any]] = []
@@ -174,13 +167,6 @@ def _run_pool_lifecycle(
 
         variants["serial"] = _time_rounds(lambda: run("serial"), repeats)
         identical["serial"] = True
-
-        with ThreadExecutor(max_workers=workers) as threads:
-            run(threads)  # steady-state warmup, untimed
-            variants["threads-persistent"] = _time_rounds(
-                lambda: run(threads), repeats)
-        identical["threads-persistent"] = bool(
-            np.array_equal(run("threads").output, reference))
 
         # Cold: the engine resolves "processes" by name each barrier, so it
         # builds and tears down one pool per call — the pre-lifecycle cost.
@@ -286,61 +272,6 @@ def _run_remote_exec(
 
 
 # --------------------------------------------------------------------- #
-# the greedy-scan microbenchmark
-# --------------------------------------------------------------------- #
-def _baseline_scan(n_vertices: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
-    """The pre-optimization scan, kept verbatim as the comparison baseline:
-    one numpy bool read per endpoint per edge, two growing Python lists,
-    one ``np.stack`` at the end."""
-    taken = np.zeros(n_vertices, dtype=bool)
-    out_u: List[int] = []
-    out_v: List[int] = []
-    for u, v in zip(eu.tolist(), ev.tolist()):
-        if not taken[u] and not taken[v]:
-            taken[u] = True
-            taken[v] = True
-            out_u.append(u)
-            out_v.append(v)
-    if not out_u:
-        return np.zeros((0, 2), dtype=np.int64)
-    return np.stack(
-        [np.asarray(out_u, dtype=np.int64),
-         np.asarray(out_v, dtype=np.int64)], axis=1)
-
-
-def _run_matching_scan(mode: str) -> List[Dict[str, Any]]:
-    from repro.graph.generators import gnp
-    from repro.matching.maximal import _sequential_scan
-
-    sizes = [(20_000, 8.0)] if mode == "quick" else [(20_000, 8.0),
-                                                     (100_000, 10.0)]
-    rows: List[Dict[str, Any]] = []
-    for n, deg in sizes:
-        graph = gnp(n, deg / n, 5)
-        e = graph.edges
-        eu, ev = np.ascontiguousarray(e[:, 0]), np.ascontiguousarray(e[:, 1])
-
-        t0 = time.perf_counter()
-        base = _baseline_scan(n, eu, ev)
-        baseline_s = time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        opt = _sequential_scan(n, eu, ev)
-        optimized_s = time.perf_counter() - t0
-
-        rows.append(dict(
-            n=n,
-            m=int(e.shape[0]),
-            baseline_s=round(baseline_s, 6),
-            optimized_s=round(optimized_s, 6),
-            speedup=round(baseline_s / optimized_s, 4)
-            if optimized_s else float("inf"),
-            identical=bool(np.array_equal(base, opt)),
-        ))
-    return rows
-
-
-# --------------------------------------------------------------------- #
 # solver facade
 # --------------------------------------------------------------------- #
 def _run_solver_facade(
@@ -407,12 +338,10 @@ def run_substrate_bench(
 
     _global_warmup(workers)
     pool_rows = _run_pool_lifecycle(scenarios, workers, repeats)
-    scan_rows = _run_matching_scan(mode)
     facade_rows = _run_solver_facade(scenarios[0], repeats)
     remote_rows = _run_remote_exec(scenarios[0], workers, repeats)
 
-    checks = _evaluate_checks(pool_rows, scan_rows, facade_rows,
-                              remote_rows)
+    checks = _evaluate_checks(pool_rows, facade_rows, remote_rows)
 
     doc: Dict[str, Any] = {
         "schema_version": BENCH_SCHEMA_VERSION,
@@ -425,7 +354,6 @@ def run_substrate_bench(
             for s in scenarios
         ],
         "pool_lifecycle": pool_rows,
-        "matching_scan": scan_rows,
         "solver_facade": facade_rows,
         "remote_exec": remote_rows,
         "checks": checks,
@@ -437,7 +365,6 @@ def run_substrate_bench(
 
 def _evaluate_checks(
     pool_rows: List[Dict[str, Any]],
-    scan_rows: List[Dict[str, Any]],
     facade_rows: List[Dict[str, Any]],
     remote_rows: List[Dict[str, Any]],
 ) -> Dict[str, Any]:
@@ -462,11 +389,9 @@ def _evaluate_checks(
         "persistent_pool_faster_than_cold": bool(persistent_faster),
         "all_outputs_identical": bool(
             all(r["identical"] for r in pool_rows)
-            and all(r["identical"] for r in scan_rows)
             and all(r["identical"] for r in facade_rows)
             and all(r["identical"] for r in remote_rows)
         ),
-        "scan_min_speedup": min(r["speedup"] for r in scan_rows),
         "solver_facade_all_verified": bool(
             all(r["verified"] for r in facade_rows)
         ),
@@ -485,13 +410,6 @@ def _format_summary(doc: Dict[str, Any]) -> str:
         lines.append(
             f"  {r['scenario']:>10s}  {r['variant']:<22s}"
             f"{r['per_round_s']:>10.4f}s  x{r['speedup_vs_serial']:<6.3g}"
-            f"{'' if r['identical'] else '  OUTPUT MISMATCH'}"
-        )
-    lines.append("matching_scan:")
-    for r in doc["matching_scan"]:
-        lines.append(
-            f"  n={r['n']:>7d} m={r['m']:>8d}  baseline {r['baseline_s']:.4f}s"
-            f"  optimized {r['optimized_s']:.4f}s  x{r['speedup']:.3g}"
             f"{'' if r['identical'] else '  OUTPUT MISMATCH'}"
         )
     lines.append("solver_facade (one solver per model, repro.solve):")
@@ -579,8 +497,8 @@ def run_from_args(args: argparse.Namespace) -> int:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro bench",
-        description="Time the executor substrate (pool lifecycle, greedy "
-                    "scan, solver facade, remote backend) and write "
+        description="Time the executor substrate (pool lifecycle, solver "
+                    "facade, remote backend) and write "
                     "BENCH_substrate.json",
     )
     add_bench_arguments(parser)

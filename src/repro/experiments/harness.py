@@ -108,8 +108,9 @@ _jsonable = jsonable
 class _SerialEnginesTrial:
     """Run a trial with the *inner* engines pinned to the serial backend.
 
-    When :func:`run_trials` fans trials out across worker processes, each
-    worker would otherwise re-resolve ``$REPRO_EXECUTOR`` inside
+    When :func:`run_trials` fans trials out across worker processes (every
+    backend but ``serial``: a process pool or a remote fleet), each worker
+    would otherwise re-resolve ``$REPRO_EXECUTOR`` inside
     ``run_simultaneous`` / ``MapReduceSimulator`` and nest a second process
     pool per trial.  One level of process parallelism is the useful grain,
     so the trial level wins and the engines inside the trial run serially
@@ -180,18 +181,19 @@ def run_trials(
     Results are collected in seed order regardless of completion order, so
     tables are bit-identical across backends for the same seed.
 
-    Trials destined for the ``processes`` backend must be *picklable*:
-    module-level callables or :class:`~repro.experiments.registry.Trial`
-    dataclasses (the E1–E21 trials in :mod:`repro.experiments.trials` all
-    qualify), never closures or lambdas.  When trials do fan out across
-    processes, the engines *inside* each trial are pinned to the serial
-    backend — trial-level fan-out is the coarser, better grain, and nesting
-    a process pool per trial would oversubscribe the machine.
+    Trials destined for the ``processes`` or ``remote`` backend must be
+    *picklable*: module-level callables or
+    :class:`~repro.experiments.registry.Trial` dataclasses (the E1–E21
+    trials in :mod:`repro.experiments.trials` all qualify), never closures
+    or lambdas.  When trials do fan out across processes, the engines
+    *inside* each trial are pinned to the serial backend — trial-level
+    fan-out is the coarser, better grain, and nesting a process pool per
+    trial would oversubscribe the machine.
     """
     if n_trials < 1:
         raise ValueError(f"need at least one trial, got {n_trials}")
     backend = resolve_executor(executor)
-    task = _SerialEnginesTrial(fn) if backend.name == "processes" else fn
+    task = _SerialEnginesTrial(fn) if backend.name != "serial" else fn
     seeds = spawn_seeds(seed, n_trials)
     try:
         outputs = backend.map(task, seeds)

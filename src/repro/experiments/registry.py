@@ -11,8 +11,8 @@ trial harness (:func:`repro.experiments.harness.run_trials`) can fan them
 out across worker *processes*, and the CLI can override any grid parameter
 from the command line (``repro experiment e1 --set n_values=2000,4000``).
 
-Consumers resolve experiments through this module — never by scraping
-``tables.__all__``::
+Consumers resolve experiments through this module; the builders in
+``tables`` are never called directly::
 
     from repro.experiments.registry import get_experiment
 
@@ -30,7 +30,6 @@ adding a new experiment.
 from __future__ import annotations
 
 import dataclasses
-import functools
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Mapping, Tuple
 
@@ -208,10 +207,9 @@ def experiment(
     """Register a builder function as experiment ``exp_id``.
 
     The decorated builder receives ``(spec, *, seed, executor, **params)``
-    and returns an :class:`ExperimentTable`.  The decorator replaces it
-    with a keyword-only wrapper equivalent to ``spec.run`` — so the legacy
-    call style ``tables.e1_matching_coreset(n_values=(600,), n_trials=2)``
-    keeps working — and attaches the spec as ``wrapper.spec``.
+    and returns an :class:`ExperimentTable`.  The decorator registers the
+    spec and returns the builder unchanged; ``get_experiment(exp_id).run``
+    is the one way to run it.
     """
     key = exp_id.strip().lower()
 
@@ -231,16 +229,7 @@ def experiment(
             build=build,
         )
         _REGISTRY[key] = spec
-
-        @functools.wraps(build)
-        def wrapper(*, seed: RandomState = None, executor: Any = None,
-                    archive_dir: Any = None,
-                    **overrides: Any) -> ExperimentTable:
-            return spec.run(seed=seed, executor=executor,
-                            archive_dir=archive_dir, **overrides)
-
-        wrapper.spec = spec
-        return wrapper
+        return build
 
     return decorate
 

@@ -11,10 +11,9 @@ while the builder below sweeps the grid, runs the picklable
 into rows.  Every table is deterministic given its ``seed`` — on any
 executor backend.
 
-The decorated names (``e1_matching_coreset`` …) remain callable with
-keyword overrides for backward compatibility; new code should resolve
-experiments through the registry (``get_experiment("e1").run(...)``).  See
-``docs/EXPERIMENTS_API.md``.
+Importing this module registers the specs; the builders are not called
+directly.  Run an experiment through the registry
+(``get_experiment("e1").run(...)``); see ``docs/EXPERIMENTS_API.md``.
 """
 
 from __future__ import annotations
@@ -51,31 +50,7 @@ from repro.experiments.trials import (
     E18_FAMILIES,
 )
 
-__all__ = [
-    "e1_matching_coreset",
-    "e2_maximal_coreset_bad",
-    "e3_vc_coreset",
-    "e4_minvc_coreset_bad",
-    "e5_matching_size_lb",
-    "e6_vc_size_lb",
-    "e7_random_vs_adversarial",
-    "e8_mapreduce_rounds",
-    "e9_subsampled_matching",
-    "e10_grouped_vc",
-    "e11_induced_matching",
-    "e12_weighted_matching",
-    "e13_communication_scaling",
-    "e14_greedymatch_dynamics",
-    "e15_ablation",
-    "e16_streaming_orders",
-    "e17_exact_kernel",
-    "e18_family_robustness",
-    "e19_vertex_partition_model",
-    "e20_concentration",
-    "e21_parallel_scaling",
-    "e22_workload_partitions",
-    "e23_bmatching_coreset",
-]
+__all__: list[str] = []
 
 
 # --------------------------------------------------------------------- #

@@ -7,8 +7,6 @@ the algorithm-independence of the theorem can itself be tested:
 * :func:`~repro.matching.hopcroft_karp.hopcroft_karp` — bipartite, O(E√V),
   scipy's compiled Hopcroft–Karp;
 * :func:`~repro.matching.blossom.blossom_maximum_matching` — general graphs;
-* :func:`~repro.matching.augmenting.augmenting_path_matching` — slow
-  reference oracle;
 * :func:`~repro.matching.maximal.greedy_maximal_matching` — the (provably
   insufficient, §1.2) maximal-matching heuristic;
 * :func:`~repro.matching.weighted.greedy_weighted_matching` — 2-approximation
@@ -19,7 +17,6 @@ provides validity/maximality/optimality certificates.
 """
 
 from repro.matching.api import maximal_matching, maximum_matching
-from repro.matching.augmenting import augmenting_path_matching
 from repro.matching.blossom import blossom_maximum_matching
 from repro.matching.hopcroft_karp import hopcroft_karp
 from repro.matching.maximal import greedy_maximal_matching
@@ -33,7 +30,6 @@ from repro.matching.verify import (
 from repro.matching.weighted import exact_weighted_matching, greedy_weighted_matching
 
 __all__ = [
-    "augmenting_path_matching",
     "blossom_maximum_matching",
     "exact_weighted_matching",
     "greedy_maximal_matching",

@@ -21,7 +21,6 @@ import numpy as np
 
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.edgelist import Graph
-from repro.matching.augmenting import augmenting_path_matching
 from repro.matching.blossom import blossom_maximum_matching
 from repro.matching.hopcroft_karp import hopcroft_karp
 from repro.matching.maximal import OrderPolicy, greedy_maximal_matching
@@ -29,7 +28,7 @@ from repro.utils.rng import RandomState
 
 __all__ = ["maximum_matching", "maximal_matching", "matching_number"]
 
-Algorithm = Literal["auto", "hopcroft_karp", "blossom", "augmenting"]
+Algorithm = Literal["auto", "hopcroft_karp", "blossom"]
 
 
 def maximum_matching(graph: Graph, algorithm: Algorithm = "auto") -> np.ndarray:
@@ -47,10 +46,6 @@ def maximum_matching(graph: Graph, algorithm: Algorithm = "auto") -> np.ndarray:
         if not isinstance(graph, BipartiteGraph):
             raise TypeError("hopcroft_karp requires a BipartiteGraph")
         return hopcroft_karp(graph)
-    if algorithm == "augmenting":
-        if not isinstance(graph, BipartiteGraph):
-            raise TypeError("augmenting-path matcher requires a BipartiteGraph")
-        return augmenting_path_matching(graph)
     if algorithm == "blossom":
         return blossom_maximum_matching(graph)
     raise ValueError(f"unknown algorithm {algorithm!r}")

@@ -10,7 +10,7 @@ order and need no sort and no COO conversion.
 
 Which maximum matching comes back is scipy's choice.  Theorem 1 accepts any
 maximum matching, so only its size is invariant; the tests check it against
-networkx, the augmenting-path matcher and blossom.
+networkx, blossom and a test-side augmenting-path oracle.
 """
 
 from __future__ import annotations

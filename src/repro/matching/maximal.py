@@ -94,8 +94,8 @@ def _sequential_scan(
     intra-block conflicts).  Matched pairs land in a preallocated int64
     buffer — a matching has at most ``n/2`` edges — instead of growing two
     Python lists and stacking at the end.  Output is bit-identical to the
-    naive one-edge-at-a-time scan (asserted by tests and measured by
-    ``repro bench``'s ``matching_scan`` section).
+    naive one-edge-at-a-time scan (a hypothesis differential test checks
+    it against that scan, kept in ``tests/oracles.py``).
     """
     m = eu.shape[0]
     taken = np.zeros(n_vertices, dtype=bool)

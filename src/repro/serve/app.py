@@ -8,8 +8,9 @@ long-lived service:
   (``POST /graphs``) — and stay pinned in a :class:`~repro.serve.store.
   GraphStore`; with a process pool the edges sit in shared memory and
   requests ship only handles;
-* **the executor pool is warm** — one persistent backend for the server's
-  lifetime, so no request pays pool start-up;
+* **one executor for the server's lifetime** — ``serial`` unless
+  ``--executor`` or ``$REPRO_EXECUTOR`` names a pooled backend, whose
+  pool is warmed at boot so no request pays pool start-up;
 * **requests resolve solvers by capability** — ``{"problem":
   "matching", "model": "coreset"}`` picks the best registered
   :class:`~repro.solve.registry.SolverSpec` for that graph via
@@ -60,7 +61,6 @@ import asyncio
 import contextlib
 import json
 import math
-import os
 import signal
 import time
 from dataclasses import dataclass, replace
@@ -68,7 +68,6 @@ from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs
 
 from repro.dist.executor import (
-    EXECUTOR_ENV,
     Executor,
     ProcessExecutor,
     resolve_executor,
@@ -127,10 +126,11 @@ class _MethodNotAllowed(ServeError):
 class ServeConfig:
     """Everything ``repro serve`` needs to boot.
 
-    ``executor=None`` resolves ``$REPRO_EXECUTOR`` and falls back to
-    ``"threads"`` — serving wants a warm in-process pool by default, not
-    the library-wide serial default.  Graphs are pinned in shared memory
-    exactly when the pool is a process pool.
+    ``executor=None`` resolves the way every other engine does:
+    ``$REPRO_EXECUTOR``, else ``"serial"``.  Barriers already run off the
+    event loop, one at a time, so serial needs no pool; ``"processes"``
+    or ``"remote"`` keep solver code out of the server process.  Graphs
+    are pinned in shared memory exactly when the pool is a process pool.
 
     The overload knobs (PR 9): ``max_inflight`` / ``max_inflight_per_graph``
     cap admitted requests (0 disables the per-graph cap), ``max_queue``
@@ -183,12 +183,10 @@ class ReproServer:
                 f"ready_watermark must be >= 0 (0 = max_queue // 2), "
                 f"got {cfg.ready_watermark}"
             )
-        self.executor_name = (
-            cfg.executor or os.environ.get(EXECUTOR_ENV) or "threads"
-        )
-        executor = resolve_executor(self.executor_name, workers=cfg.workers)
+        executor = resolve_executor(cfg.executor, workers=cfg.workers)
+        self.executor_name = executor.name
         # Handles (shared segments) ship to process pools; every other
-        # pool shares the graph object itself and additionally reuses
+        # executor shares the graph object itself and additionally reuses
         # cached partition views across requests with the same (k, seed).
         self.ship_handles = isinstance(executor, ProcessExecutor)
         # The supervisor owns the live executor from here on: it re-warms
@@ -206,8 +204,9 @@ class ReproServer:
             cfg.max_inflight, cfg.max_inflight_per_graph
         )
         # Warm the pool now: the lazy backends run single-task barriers
-        # inline until a pool exists, and a serving process must never
-        # execute solver code (or chaos hooks) in its own process.
+        # inline until a pool exists.  With processes or remote, that
+        # keeps solver code (and chaos hooks) out of the server process;
+        # serial runs every barrier inline by design.
         self.supervisor.rewarm()
         self.store = GraphStore(pin_shared=self.ship_handles)
         self.batcher = MicroBatcher(

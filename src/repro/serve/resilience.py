@@ -60,8 +60,7 @@ __all__ = [
 #: conservative one the supervisor steps down to when the breaker keeps
 #: reopening.  ``serial`` is the floor — it always answers (at the cost
 #: of running solver code in the server process, the last resort).
-STEP_DOWN_CHAIN = {"remote": "processes", "processes": "serial",
-                   "threads": "serial"}
+STEP_DOWN_CHAIN = {"remote": "processes", "processes": "serial"}
 
 
 # --------------------------------------------------------------------- #
@@ -387,8 +386,9 @@ class ExecutorSupervisor:
         """Force the current executor's pool to exist (blocking).
 
         Mapping :func:`~repro.serve.tasks.warm_worker` over two tasks
-        defeats the lazy backends' single-task inline short-circuit, so
-        solver code never runs in the server process.  Callers in async
+        defeats the pooled backends' single-task inline short-circuit, so
+        with processes or remote solver code never runs in the server
+        process (serial runs it inline by design).  Callers in async
         context run this in a thread.
         """
         self.executor.map(warm_worker, [0, 1])

@@ -35,12 +35,14 @@ __all__ = ["SolveTask", "run_solve_task", "warm_worker"]
 def warm_worker(i: int) -> int:
     """The server's pool warm-up task (a picklable no-op).
 
-    Mapping this over two tasks at boot forces the lazy backends to
-    actually spawn their pool: without it, a single-task barrier runs
-    *inline in the calling process* (the executors' documented
-    short-circuit), which for a serving process would mean a chaos-killed
-    task takes the whole server down instead of one worker.  Deliberately
-    skips the chaos hooks — faults are for solve tasks, not boot.
+    Mapping this over two tasks at boot forces the pooled backends
+    (``processes``, ``remote``) to actually spawn their pool: without it, a
+    single-task barrier runs *inline in the calling process* (the
+    executors' documented short-circuit), which would mean a chaos-killed
+    task takes the whole server down instead of one worker.  Only those
+    backends isolate the server from solver code; ``serial`` runs every
+    task inline by design.  Deliberately skips the chaos hooks — faults
+    are for solve tasks, not boot.
     """
     return i
 

@@ -136,20 +136,6 @@ def _blossom(graph, ctx: RunContext) -> Adapted:
 
 
 @solver(
-    "matching.augmenting",
-    problem="matching", model="offline", guarantee="exact",
-    bipartite_only=True,
-    description="Single-path augmenting bipartite matcher (reference "
-                "implementation)",
-)
-def _augmenting(graph, ctx: RunContext) -> Adapted:
-    """Deterministic; draws no streams."""
-    from repro.matching.api import maximum_matching
-
-    return maximum_matching(graph, algorithm="augmenting"), {}
-
-
-@solver(
     "matching.greedy_maximal",
     problem="matching", model="offline", guarantee="2-approx",
     description="Greedy maximal matching under a chosen edge-order policy",

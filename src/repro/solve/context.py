@@ -54,11 +54,11 @@ class RunContext:
         :class:`~repro.solve.registry.SolverCapabilityError`, solvers with
         a natural default (MapReduce's ``k = √n``) use it.
     executor:
-        Execution backend spec (``"serial"`` / ``"threads"`` /
-        ``"processes"`` / an :class:`~repro.dist.executor.Executor`
+        Execution backend spec (``"serial"`` / ``"processes"`` /
+        ``"remote"`` / an :class:`~repro.dist.executor.Executor`
         instance / ``None`` for ``$REPRO_EXECUTOR``).
     workers:
-        Worker count for thread/process backends (``None`` →
+        Worker count for pooled backends (``None`` →
         ``$REPRO_WORKERS`` or the CPU count).
     """
 

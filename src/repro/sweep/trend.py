@@ -204,8 +204,6 @@ def _bench_metrics(doc: Mapping[str, Any]) -> Dict[str, float]:
     for row in doc.get("pool_lifecycle", []):
         out[f"pool_lifecycle.{row['scenario']}.{row['variant']}"
             f".per_round_s"] = row["per_round_s"]
-    for row in doc.get("matching_scan", []):
-        out[f"matching_scan.n{row['n']}.optimized_s"] = row["optimized_s"]
     for row in doc.get("solver_facade", []):
         out[f"solver_facade.{row['solver']}.wall_s"] = row["wall_s"]
     for row in doc.get("remote_exec", []):

@@ -1,18 +1,26 @@
-"""Simple one-augmenting-path-at-a-time bipartite matcher.
+"""Reference algorithms that only the test suite uses.
 
-O(V·E) — strictly slower than Hopcroft–Karp, kept as an independent
-reference oracle: the two implementations share no code, so agreement of
-their matching *sizes* on random inputs is a strong correctness signal
-(matchings themselves may differ; only the size is canonical).
+Each is a deliberately simple implementation that shares no code with the
+library function it checks, so agreement on random inputs is a strong
+correctness signal:
+
+* :func:`augmenting_path_matching` — one augmenting path at a time,
+  O(V·E).  Its matching *size* must equal Hopcroft–Karp's and blossom's
+  (the matchings themselves may differ; only the size is canonical).
+* :func:`_baseline_scan` — the one-edge-at-a-time greedy scan.  Its
+  output must equal :func:`repro.matching.maximal._sequential_scan` (and
+  ``greedy_maximal_matching(order="input")``) edge for edge.
 """
 
 from __future__ import annotations
+
+from typing import List
 
 import numpy as np
 
 from repro.graph.bipartite import BipartiteGraph
 
-__all__ = ["augmenting_path_matching"]
+__all__ = ["_baseline_scan", "augmenting_path_matching"]
 
 
 def augmenting_path_matching(graph: BipartiteGraph) -> np.ndarray:
@@ -65,3 +73,23 @@ def augmenting_path_matching(graph: BipartiteGraph) -> np.ndarray:
     if matched.size == 0:
         return np.zeros((0, 2), dtype=np.int64)
     return np.stack([matched, mate_left[matched] + nl], axis=1)
+
+
+def _baseline_scan(n_vertices: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
+    """The pre-optimization scan, kept verbatim as the comparison baseline:
+    one numpy bool read per endpoint per edge, two growing Python lists,
+    one ``np.stack`` at the end."""
+    taken = np.zeros(n_vertices, dtype=bool)
+    out_u: List[int] = []
+    out_v: List[int] = []
+    for u, v in zip(eu.tolist(), ev.tolist()):
+        if not taken[u] and not taken[v]:
+            taken[u] = True
+            taken[v] = True
+            out_u.append(u)
+            out_v.append(v)
+    if not out_u:
+        return np.zeros((0, 2), dtype=np.int64)
+    return np.stack(
+        [np.asarray(out_u, dtype=np.int64),
+         np.asarray(out_v, dtype=np.int64)], axis=1)

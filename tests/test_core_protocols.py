@@ -43,15 +43,17 @@ class TestMatchingProtocol:
     def test_mixed_algorithms_property(self, rng):
         """Theorem 1 is algorithm-independent: machines using different
         max-matching algorithms still compose to a valid, large matching."""
+        from oracles import augmenting_path_matching
         from repro.core.compose import compose_matching
         from repro.matching.api import maximum_matching
 
         g = bipartite_gnp(150, 150, 0.015, rng)
         part = random_k_partition(g, 4, rng)
-        algs = ["hopcroft_karp", "blossom", "augmenting", "hopcroft_karp"]
         coresets = [
-            maximum_matching(part.piece(i), algorithm=algs[i])
-            for i in range(4)
+            maximum_matching(part.piece(0), algorithm="hopcroft_karp"),
+            maximum_matching(part.piece(1), algorithm="blossom"),
+            augmenting_path_matching(part.piece(2)),
+            maximum_matching(part.piece(3), algorithm="hopcroft_karp"),
         ]
         m = compose_matching(g.n_vertices, coresets, template=g)
         assert is_matching(g, m)

@@ -95,17 +95,19 @@ class TestProtocolDeterminism:
 
 class TestExperimentDeterminism:
     def test_table_reproducible(self):
-        from repro.experiments import tables
+        from repro.experiments.registry import get_experiment
 
-        a = tables.e11_induced_matching(n_values=(1000,), n_trials=2, seed=42)
-        b = tables.e11_induced_matching(n_values=(1000,), n_trials=2, seed=42)
+        e11 = get_experiment("e11")
+        a = e11.run(n_values=(1000,), n_trials=2, seed=42)
+        b = e11.run(n_values=(1000,), n_trials=2, seed=42)
         assert tables_equal(a, b)
 
     def test_different_seed_changes_measurements(self):
-        from repro.experiments import tables
+        from repro.experiments.registry import get_experiment
 
-        a = tables.e11_induced_matching(n_values=(1000,), n_trials=2, seed=1)
-        b = tables.e11_induced_matching(n_values=(1000,), n_trials=2, seed=2)
+        e11 = get_experiment("e11")
+        a = e11.run(n_values=(1000,), n_trials=2, seed=1)
+        b = e11.run(n_values=(1000,), n_trials=2, seed=2)
         assert a.rows != b.rows
 
     def test_weighted_protocol_reproducible(self):
@@ -124,7 +126,7 @@ class TestExperimentDeterminism:
 
 
 class TestExecutorTortureSuite:
-    """serial ≡ threads ≡ processes ≡ remote, bit for bit.
+    """serial ≡ processes ≡ remote, bit for bit.
 
     The cross-backend contract (docs/PARALLELISM.md §§1, 7) exercised the
     expensive way: whole experiment tables (E1, E8) and whole `repro
@@ -134,7 +136,7 @@ class TestExecutorTortureSuite:
     serial runs.
     """
 
-    OTHER_BACKENDS = ["threads", "processes", "remote"]
+    OTHER_BACKENDS = ["processes", "remote"]
 
     def _resolve(self, backend):
         if backend == "remote":

@@ -1,7 +1,7 @@
 """Tests for the execution backends and their determinism contract.
 
 The load-bearing property (docs/PARALLELISM.md): for the same seed, every
-backend — serial, threads, processes — produces bit-identical protocol
+backend — serial, processes, remote — produces bit-identical protocol
 outputs, messages, and ledger totals, because engines compose per-machine
 results in machine-index order, never completion order.
 
@@ -9,6 +9,8 @@ Helpers here are module-level on purpose: the ``processes`` backend pickles
 every task into a worker, which closures and lambdas cannot survive (that
 failure mode gets its own tests below).
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -20,7 +22,6 @@ from repro.dist.executor import (
     Executor,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     UnpicklableTaskError,
     available_backends,
     resolve_executor,
@@ -30,7 +31,9 @@ from repro.dist.message import Message
 from repro.graph.generators import bipartite_gnp, gnp
 from repro.graph.partition import random_k_partition
 
-BACKENDS = ["serial", "threads", "processes"]
+BACKENDS = ["serial", "processes"]
+#: The backends whose runs are compared against serial's.
+POOLED = ["processes"]
 
 
 def _echo_summarizer(piece, machine_index, rng, public=None):
@@ -62,8 +65,8 @@ class TestResolveExecutor:
         assert isinstance(resolve_executor(None), SerialExecutor)
 
     def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(EXECUTOR_ENV, "threads")
-        assert isinstance(resolve_executor(None), ThreadExecutor)
+        monkeypatch.setenv(EXECUTOR_ENV, "processes")
+        assert isinstance(resolve_executor(None), ProcessExecutor)
 
     def test_workers_env_var(self, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "3")
@@ -71,16 +74,22 @@ class TestResolveExecutor:
 
     @pytest.mark.parametrize("name,cls", [
         ("serial", SerialExecutor),
-        ("threads", ThreadExecutor),
         ("processes", ProcessExecutor),
-        ("THREADS", ThreadExecutor),   # case-insensitive
-        ("mp", ProcessExecutor),       # alias
+        ("PROCESSES", ProcessExecutor),  # case-insensitive
+        ("mp", ProcessExecutor),         # alias
     ])
     def test_names_and_aliases(self, name, cls):
         assert isinstance(resolve_executor(name), cls)
 
+    @pytest.mark.parametrize("name", ["threads", "THREADS", "thread"])
+    def test_threads_is_not_a_backend(self, name):
+        with pytest.raises(ValueError,
+                           match="available backends: serial, processes, "
+                                 "remote$"):
+            resolve_executor(name)
+
     def test_instance_passes_through(self):
-        ex = ThreadExecutor(max_workers=2)
+        ex = ProcessExecutor(max_workers=2)
         assert resolve_executor(ex) is ex
 
     def test_unknown_backend_rejected(self):
@@ -93,14 +102,13 @@ class TestResolveExecutor:
         from repro.dist.executor import validate_workers
 
         with pytest.raises(ValueError, match="worker count"):
-            ThreadExecutor(max_workers=0)
+            ProcessExecutor(max_workers=0)
         with pytest.raises(ValueError, match="worker count"):
             validate_workers(0)
         assert validate_workers(3) == 3
 
     def test_available_backends(self):
-        assert available_backends() == ("serial", "threads", "processes",
-                                        "remote")
+        assert available_backends() == ("serial", "processes", "remote")
 
 
 # --------------------------------------------------------------------- #
@@ -132,7 +140,7 @@ class TestProtocolDeterminismAcrossBackends:
         part = random_k_partition(g, 4, 8)
         return run_simultaneous(protocol, part, seed, executor=executor)
 
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize("backend", POOLED)
     def test_matching_protocol_bit_identical(self, backend):
         from repro.core.protocols import matching_coreset_protocol
 
@@ -145,7 +153,7 @@ class TestProtocolDeterminismAcrossBackends:
             assert ma.sender == mb.sender
             np.testing.assert_array_equal(ma.edges, mb.edges)
 
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize("backend", POOLED)
     def test_vc_protocol_bit_identical(self, backend):
         from repro.core.protocols import vertex_cover_coreset_protocol
 
@@ -162,7 +170,7 @@ class TestProtocolDeterminismAcrossBackends:
         b = self._run(grouped_vertex_cover_protocol(4, 16.0), "processes")
         np.testing.assert_array_equal(a.output, b.output)
 
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize("backend", POOLED)
     def test_mapreduce_matching_bit_identical(self, backend):
         from repro.core.mapreduce_algos import mapreduce_matching
 
@@ -174,7 +182,7 @@ class TestProtocolDeterminismAcrossBackends:
         assert a.job.total_shuffled_edges == b.job.total_shuffled_edges
         assert a.job.peak_machine_edges == b.job.peak_machine_edges
 
-    @pytest.mark.parametrize("backend", ["threads", "processes"])
+    @pytest.mark.parametrize("backend", POOLED)
     def test_mapreduce_vertex_cover_bit_identical(self, backend):
         from repro.core.mapreduce_algos import mapreduce_vertex_cover
 
@@ -195,7 +203,7 @@ class TestProtocolDeterminismAcrossBackends:
             sim.shuffle_round(_random_route)  # consumes machine randomness
             sim.shuffle_round(_random_route)  # must continue those streams
             sims[backend] = sim
-        for backend in ["threads", "processes"]:
+        for backend in POOLED:
             for i in range(3):
                 np.testing.assert_array_equal(
                     sims["serial"].machine_edges(i),
@@ -249,9 +257,8 @@ class TestProcessPicklingErrors:
         part = random_k_partition(g, 3, 2)
         with pytest.raises(UnpicklableTaskError, match="not picklable"):
             run_simultaneous(proto, part, 3, executor="processes")
-        # The same protocol is fine on the in-process backends.
-        for backend in ["serial", "threads"]:
-            run_simultaneous(proto, part, 3, executor=backend)
+        # The same protocol is fine on the in-process backend.
+        run_simultaneous(proto, part, 3, executor="serial")
 
     def test_lambda_route_fn_raises_clear_error(self):
         g = gnp(20, 0.3, 1)
@@ -294,14 +301,16 @@ def _uniform_trial(s):
     return {"x": float(gen.uniform())}
 
 
+def _inner_backend_trial(s):
+    # Which backend an engine inside this trial would resolve, and where
+    # the trial ran.
+    inner = resolve_executor(None)
+    inner.close()
+    return {"inner_serial": float(inner.name == "serial"),
+            "pid": float(os.getpid())}
+
+
 class TestRunTrialsExecutor:
-    def test_threads_match_serial(self):
-        from repro.experiments.harness import run_trials
-
-        a = run_trials(_uniform_trial, 6, seed=5, executor="serial")
-        b = run_trials(_uniform_trial, 6, seed=5, executor="threads")
-        np.testing.assert_array_equal(a["x"], b["x"])
-
     def test_processes_match_serial(self):
         from repro.experiments.harness import run_trials
 
@@ -312,7 +321,26 @@ class TestRunTrialsExecutor:
     def test_default_resolves_from_env(self, monkeypatch):
         from repro.experiments.harness import run_trials
 
-        monkeypatch.setenv(EXECUTOR_ENV, "threads")
+        monkeypatch.setenv(EXECUTOR_ENV, "processes")
         a = run_trials(_uniform_trial, 4, seed=9)
         b = run_trials(_uniform_trial, 4, seed=9, executor="serial")
         np.testing.assert_array_equal(a["x"], b["x"])
+
+    @pytest.mark.parametrize("backend", ["processes", "remote"])
+    def test_out_of_process_trials_pin_inner_engines_to_serial(
+            self, backend, monkeypatch):
+        """Every backend but serial runs trials in other processes; none
+        may nest a second pool per trial, even when $REPRO_EXECUTOR names
+        one (docs/PARALLELISM.md §4)."""
+        from repro.dist.remote import RemoteExecutor
+        from repro.experiments.harness import run_trials
+
+        monkeypatch.setenv(EXECUTOR_ENV, "processes")
+        # Built after setenv: locally spawned remote workers copy the
+        # coordinator's environment, $REPRO_EXECUTOR included.
+        ex = (ProcessExecutor(max_workers=2) if backend == "processes"
+              else RemoteExecutor(max_workers=2, connect_timeout=60))
+        with ex:
+            out = run_trials(_inner_backend_trial, 4, seed=3, executor=ex)
+        assert out["inner_serial"].tolist() == [1.0] * 4
+        assert os.getpid() not in out["pid"].astype(int).tolist()

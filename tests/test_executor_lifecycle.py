@@ -20,7 +20,6 @@ from repro.dist.executor import (
     ExecutorClosedError,
     ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     WorkerPoolBrokenError,
     resolve_executor,
 )
@@ -29,7 +28,7 @@ from repro.dist.remote import RemoteExecutor
 from repro.graph.generators import bipartite_gnp, gnp
 from repro.graph.partition import random_k_partition
 
-ALL_EXECUTORS = [SerialExecutor, ThreadExecutor, ProcessExecutor]
+ALL_EXECUTORS = [SerialExecutor, ProcessExecutor]
 
 
 def _remote():
@@ -37,10 +36,9 @@ def _remote():
 
 
 #: One factory per backend, remote included: the shared lifecycle contract
-#: is asserted against all four through the same parametrized tests.
+#: is asserted against all three through the same parametrized tests.
 LIFECYCLE_FACTORIES = [
     pytest.param(SerialExecutor, id="serial"),
-    pytest.param(lambda: ThreadExecutor(max_workers=2), id="threads"),
     pytest.param(lambda: ProcessExecutor(max_workers=2), id="processes"),
     pytest.param(_remote, id="remote"),
 ]
@@ -93,7 +91,7 @@ class TestCloseSemantics:
             ex.map(_square, [1])
 
     def test_entering_a_closed_executor_raises(self):
-        ex = ThreadExecutor(max_workers=2)
+        ex = ProcessExecutor(max_workers=2)
         ex.close()
         with pytest.raises(ExecutorClosedError):
             with ex:
@@ -101,7 +99,7 @@ class TestCloseSemantics:
 
 
 # --------------------------------------------------------------------- #
-# the shared lifecycle contract, all four backends (remote included)
+# the shared lifecycle contract, all three backends (remote included)
 # --------------------------------------------------------------------- #
 class TestLifecycleContract:
     """PR 4's contract, asserted uniformly: double close is a no-op,
@@ -187,15 +185,6 @@ class TestPoolPersistence:
         assert first & second
         assert os.getpid() not in first | second
 
-    def test_thread_pool_is_reused(self):
-        with ThreadExecutor(max_workers=2) as ex:
-            assert ex._pool is None  # lazy: no pool before the first map
-            ex.map(_square, [1, 2, 3])
-            pool = ex._pool
-            assert pool is not None
-            ex.map(_square, [4, 5, 6])
-            assert ex._pool is pool
-
     def test_singleton_map_does_not_spin_up_pool(self):
         with ProcessExecutor(max_workers=2) as ex:
             assert ex.map(_square, [3]) == [9]
@@ -271,11 +260,11 @@ class TestOwnership:
                              executor=ex)
 
     def test_simulator_close_spares_caller_instances(self):
-        with ThreadExecutor(max_workers=2) as ex:
+        with ProcessExecutor(max_workers=2) as ex:
             sim = MapReduceSimulator(10, 2, rng=0, executor=ex)
             sim.close()
             assert not ex.closed
-        sim2 = MapReduceSimulator(10, 2, rng=0, executor="threads")
+        sim2 = MapReduceSimulator(10, 2, rng=0, executor="processes")
         owned = sim2.executor
         sim2.close()
         assert owned.closed  # resolved-by-name executor belongs to the sim
@@ -293,11 +282,11 @@ class TestOwnership:
 
         monkeypatch.setattr("repro.experiments.harness.resolve_executor",
                             tracking_resolve)
-        run_trials(_uniform_trial, 4, seed=5, executor="threads")
+        run_trials(_uniform_trial, 4, seed=5, executor="processes")
         assert created and all(ex.closed for ex in created)
 
     def test_simulator_context_manager(self):
-        with MapReduceSimulator(10, 2, rng=0, executor="threads") as sim:
+        with MapReduceSimulator(10, 2, rng=0, executor="processes") as sim:
             g = gnp(10, 0.3, 1)
             sim.load([g.edges[:2], g.edges[2:]])
         assert sim.executor.closed

@@ -104,12 +104,15 @@ class TestRegistryResolution:
         with pytest.raises(UnknownParameterError):
             spec.coerce("bogus", "1")
 
-    def test_decorated_wrapper_keeps_legacy_call_style(self):
+    def test_decorator_returns_the_builder(self):
         from repro.experiments import tables
 
-        t = tables.e11_induced_matching(n_values=(400,), n_trials=1, seed=3)
+        spec = get_experiment("e11")
+        assert spec.build is tables.e11_induced_matching
+        assert not hasattr(tables.e11_induced_matching, "spec")
+        assert tables.__all__ == []
+        t = spec.run(n_values=(400,), n_trials=1, seed=3)
         assert t.rows and t.name.startswith("E11")
-        assert tables.e11_induced_matching.spec is get_experiment("e11")
 
 
 class TestTrialPickling:
@@ -160,8 +163,6 @@ class TestProcessFanOut:
         assert os.getpid() not in pids  # never the parent process
         assert len(pids) > 1  # distinct worker PIDs
 
-    def test_closure_trials_still_fine_on_serial_and_threads(self):
-        for backend in ("serial", "threads"):
-            m = run_trials(lambda s: {"x": 1.0}, 2, seed=0,
-                           executor=backend)
-            assert m["x"].tolist() == [1.0, 1.0]
+    def test_closure_trials_still_fine_on_serial(self):
+        m = run_trials(lambda s: {"x": 1.0}, 2, seed=0, executor="serial")
+        assert m["x"].tolist() == [1.0, 1.0]

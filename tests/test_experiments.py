@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.experiments.harness import ExperimentTable, run_trials
-from repro.experiments import tables
+from repro.experiments.registry import get_experiment
 
 
 def _constant_trial(s):
@@ -80,13 +80,13 @@ class TestExperimentShapes:
     """
 
     def test_e1_ratio_bounded(self):
-        t = tables.e1_matching_coreset(n_values=(600,), k_values=(4,),
-                                       n_trials=2)
+        t = get_experiment("e1").run(n_values=(600,), k_values=(4,),
+                                     n_trials=2)
         assert all(r <= 9 for r in t.column("ratio_max"))
 
     def test_e2_separation(self):
-        t = tables.e2_maximal_coreset_bad(k_values=(4, 16), width=24,
-                                          n_trials=2)
+        t = get_experiment("e2").run(k_values=(4, 16), width=24,
+                                     n_trials=2)
         bad = t.column("maximal_ratio")
         good = t.column("maximum_ratio")
         assert bad[1] > bad[0] * 2  # grows with k
@@ -95,21 +95,22 @@ class TestExperimentShapes:
     def test_e3_log_bound(self):
         import math
 
-        t = tables.e3_vc_coreset(n_values=(1000,), k_values=(4,), n_trials=2)
+        t = get_experiment("e3").run(n_values=(1000,), k_values=(4,),
+                                     n_trials=2)
         assert all(t.column("feasible"))
         assert all(
             r <= 4 * math.log2(1000) for r in t.column("ratio_max")
         )
 
     def test_e4_separation(self):
-        t = tables.e4_minvc_coreset_bad(k_values=(4, 16), n_stars=24,
-                                        n_trials=2)
+        t = get_experiment("e4").run(k_values=(4, 16), n_stars=24,
+                                     n_trials=2)
         bad = t.column("minvc_ratio")
         assert bad[1] > bad[0] * 1.5
         assert max(t.column("peeling_ratio")) < 4
 
     def test_e5_threshold(self):
-        t = tables.e5_matching_size_lb(
+        t = get_experiment("e5").run(
             n=1500, alpha=5, k=5, budget_factors=(0.1, 20.0), n_trials=2
         )
         ratios = t.column("ratio_mean")
@@ -117,7 +118,7 @@ class TestExperimentShapes:
         assert ratios[1] < 5  # generous budget beats alpha
 
     def test_e6_threshold(self):
-        t = tables.e6_vc_size_lb(
+        t = get_experiment("e6").run(
             n=1500, alpha=5, k=5, budget_factors=(0.02, 4.0), n_trials=3
         )
         feas = t.column("p_feasible")
@@ -125,13 +126,13 @@ class TestExperimentShapes:
         assert feas[1] == 1.0
 
     def test_e7_contrast(self):
-        t = tables.e7_random_vs_adversarial(k_values=(6,), n_hidden_per_k=8,
-                                            n_trials=2)
+        t = get_experiment("e7").run(k_values=(6,), n_hidden_per_k=8,
+                                     n_trials=2)
         row = t.rows[0]
         assert row["adversarial_ratio"] > 2 * row["random_ratio"]
 
     def test_e8_round_counts(self):
-        t = tables.e8_mapreduce_rounds(n=600, n_trials=2)
+        t = get_experiment("e8").run(n=600, n_trials=2)
         by_name = {r["algorithm"]: r for r in t.rows}
         assert by_name["coreset-2round"]["rounds_mean"] == 2
         assert by_name["coreset-prerandomized"]["rounds_mean"] == 1
@@ -139,41 +140,41 @@ class TestExperimentShapes:
         assert by_name["filtering[46]"]["ratio_mean"] <= 2.1
 
     def test_e9_bits_scale(self):
-        t = tables.e9_subsampled_matching(
+        t = get_experiment("e9").run(
             n=1600, k=4, alpha_values=(2.0, 8.0), n_trials=2
         )
         bits = t.column("total_bits_mean")
         assert bits[1] < bits[0] / 3  # superlinear decay in alpha
 
     def test_e10_feasible(self):
-        t = tables.e10_grouped_vc(n=1200, k=4, alpha_values=(16.0,),
-                                  n_trials=2)
+        t = get_experiment("e10").run(n=1200, k=4, alpha_values=(16.0,),
+                                      n_trials=2)
         assert all(t.column("feasible"))
 
     def test_e11_constants(self):
-        t = tables.e11_induced_matching(n_values=(4000,), n_trials=2)
+        t = get_experiment("e11").run(n_values=(4000,), n_trials=2)
         row = t.rows[0]
         assert abs(row["induced_density_mean"] - row["exact_theory"]) < 0.03
         assert row["induced_density_mean"] > row["lemma_a3_bound"]
 
     def test_e12_weight_ratio(self):
-        t = tables.e12_weighted_matching(n=600, k=4, n_trials=2)
+        t = get_experiment("e12").run(n=600, k=4, n_trials=2)
         assert all(r < 3 for r in t.column("weight_ratio"))
 
     def test_e13_below_naive(self):
-        t = tables.e13_communication_scaling(n=800, k_values=(4,), n_trials=2)
+        t = get_experiment("e13").run(n=800, k_values=(4,), n_trials=2)
         row = t.rows[0]
         assert row["matching_total_bits"] < row["naive_total_bits"]
         assert row["vc_total_bits"] <= row["naive_total_bits"]
 
     def test_e14_dynamics(self):
-        t = tables.e14_greedymatch_dynamics(n=1000, k=6, n_trials=2)
+        t = get_experiment("e14").run(n=1000, k=6, n_trials=2)
         row = t.rows[0]
         assert row["prefix_deviation_max"] < 0.15
         assert row["final_ratio"] < 9
 
     def test_e15_all_variants_run(self):
-        t = tables.e15_ablation(n=600, k=4, n_trials=2)
+        t = get_experiment("e15").run(n=600, k=4, n_trials=2)
         assert len(t.rows) == 5
         by_name = {r["variant"]: r for r in t.rows}
         assert by_name["send-everything"]["ratio_mean"] == 1.0

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import nx_matching_number
+from oracles import augmenting_path_matching
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.generators import (
     bipartite_gnp,
     complete_bipartite,
     random_perfect_matching,
 )
-from repro.matching.augmenting import augmenting_path_matching
 from repro.matching.hopcroft_karp import hopcroft_karp, hopcroft_karp_mates
 from repro.matching.verify import is_matching, is_maximal_matching
 

@@ -52,6 +52,19 @@ class TestGreedyMaximal:
             m = greedy_maximal_matching(g, order="random", rng=rng)
             assert m.shape[0] >= matching_number(g) / 2
 
+    def test_scan_equals_baseline_across_default_blocks(self):
+        """At the default block size, on about ten blocks of edges
+        (n = 20 000, about 80 000 edges)."""
+        from oracles import _baseline_scan
+        from repro.matching.maximal import _sequential_scan
+
+        g = gnp(20_000, 8.0 / 20_000, 5)
+        eu = np.ascontiguousarray(g.edges[:, 0])
+        ev = np.ascontiguousarray(g.edges[:, 1])
+        np.testing.assert_array_equal(
+            _sequential_scan(g.n_vertices, eu, ev),
+            _baseline_scan(g.n_vertices, eu, ev))
+
     def test_unknown_order_raises(self, rng):
         with pytest.raises(ValueError):
             greedy_maximal_matching(gnp(5, 0.5, rng), order="bogus")  # type: ignore

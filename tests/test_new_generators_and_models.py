@@ -140,40 +140,39 @@ class TestVertexPartition:
 
 class TestNewExperimentShapes:
     def test_e16_shape(self):
-        from repro.experiments import tables
+        from repro.experiments.registry import get_experiment
 
-        t = tables.e16_streaming_orders(n=1200, n_trials=2)
+        t = get_experiment("e16").run(n=1200, n_trials=2)
         rows = {r["order"]: r for r in t.rows}
         assert rows["random"]["greedy_ratio"] >= 0.5
         assert rows["random"]["two_phase_ratio"] >= \
             rows["random"]["greedy_ratio"] - 0.02
 
     def test_e17_shape(self):
-        from repro.experiments import tables
+        from repro.experiments.registry import get_experiment
 
-        t = tables.e17_exact_kernel(opt_values=(16,), n=1200, k=4,
-                                    n_trials=2)
+        t = get_experiment("e17").run(opt_values=(16,), n=1200, k=4,
+                                      n_trials=2)
         assert t.rows[0]["exact_random"]
         assert t.rows[0]["exact_adversarial"]
 
     def test_e18_shape(self):
-        from repro.experiments import tables
+        from repro.experiments.registry import get_experiment
 
-        t = tables.e18_family_robustness(n=800, k=4, n_trials=1)
+        t = get_experiment("e18").run(n=800, k=4, n_trials=1)
         assert len(t.rows) == 5
         assert all(r["vc_feasible"] for r in t.rows)
 
     def test_e19_shape(self):
-        from repro.experiments import tables
+        from repro.experiments.registry import get_experiment
 
-        t = tables.e19_vertex_partition_model(n=800, k_values=(4,),
-                                              n_trials=2)
+        t = get_experiment("e19").run(n=800, k_values=(4,), n_trials=2)
         assert t.rows[0]["edge_model_ratio"] <= 9
         assert t.rows[0]["vertex_model_ratio"] <= 9
 
     def test_e20_shape(self):
-        from repro.experiments import tables
+        from repro.experiments.registry import get_experiment
 
-        t = tables.e20_concentration(n_values=(400, 1600), k=4, n_trials=4)
+        t = get_experiment("e20").run(n_values=(400, 1600), k=4, n_trials=4)
         assert all(r["ratio_max"] <= 9 for r in t.rows)
         assert all(r["tail_probability"] <= 0.5 for r in t.rows)

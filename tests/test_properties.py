@@ -49,6 +49,18 @@ def bipartite_graphs(draw, max_side=20, max_m=60, min_side=1):
     return BipartiteGraph.from_pairs(nl, nr, left, right)
 
 
+@st.composite
+def raw_edge_lists(draw, max_n=30, max_m=120):
+    """``(n, eu, ev)`` with self-loops and repeated edges allowed: the scan
+    runs on permuted, possibly non-canonical endpoint arrays."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+        max_size=max_m))
+    e = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    return n, np.ascontiguousarray(e[:, 0]), np.ascontiguousarray(e[:, 1])
+
+
 # --------------------------------------------------------------------- #
 # graph substrate invariants
 # --------------------------------------------------------------------- #
@@ -112,7 +124,7 @@ def test_without_all_vertices_empties(g):
 @SETTINGS
 @given(bipartite_graphs())
 def test_hk_equals_augmenting(g):
-    from repro.matching.augmenting import augmenting_path_matching
+    from oracles import augmenting_path_matching
     from repro.matching.hopcroft_karp import hopcroft_karp
     from repro.matching.verify import is_matching
 
@@ -120,6 +132,38 @@ def test_hk_equals_augmenting(g):
     b = augmenting_path_matching(g)
     assert is_matching(g, a)
     assert a.shape[0] == b.shape[0]
+
+
+@SETTINGS
+@given(raw_edge_lists(), st.integers(min_value=1, max_value=16))
+def test_sequential_scan_equals_baseline_scan(case, block):
+    """The blocked greedy scan is edge for edge the one-edge-at-a-time
+    scan.  Small blocks put many boundaries, where the vectorized
+    prefilter reads a stale ``taken``, inside one input."""
+    from unittest import mock
+
+    from oracles import _baseline_scan
+    from repro.matching import maximal
+
+    n, eu, ev = case
+    with mock.patch.object(maximal, "_SCAN_BLOCK", block):
+        got = maximal._sequential_scan(n, eu, ev)
+    np.testing.assert_array_equal(got, _baseline_scan(n, eu, ev))
+
+
+@SETTINGS
+@given(graphs(), st.integers(min_value=1, max_value=16))
+def test_greedy_input_order_equals_baseline_scan(g, block):
+    from unittest import mock
+
+    from oracles import _baseline_scan
+    from repro.matching import maximal
+
+    with mock.patch.object(maximal, "_SCAN_BLOCK", block):
+        got = maximal.greedy_maximal_matching(g, order="input")
+    e = g.edges
+    np.testing.assert_array_equal(
+        got, _baseline_scan(g.n_vertices, e[:, 0], e[:, 1]))
 
 
 @SETTINGS

@@ -1,4 +1,4 @@
-"""The ``repro serve`` HTTP API under concurrency (threads backend).
+"""The ``repro serve`` HTTP API under concurrency (serial backend).
 
 The load-bearing contract is **serving determinism**: a solve served
 over HTTP — batched with arbitrary concurrent neighbours — must be
@@ -6,7 +6,7 @@ bit-identical to the same solve run in-process with :func:`repro.solve
 .solve`.  Everything the server adds (pinning, micro-batching, partition
 -view reuse, capability resolution) must be invisible in the result.
 
-These tests run the threads executor so solver code shares the test
+These tests run the serial executor so solver code shares the test
 process (fast, and partition-view leasing is exercised); the process-
 backend and fault paths live in ``tests/test_serve_faults.py``.
 """
@@ -142,7 +142,7 @@ class TestServingDeterminism:
         ref = reference("matching.coreset", seed=9)
 
         async def main():
-            async with serve_harness(graphs=DEMO, executor="threads") as (
+            async with serve_harness(graphs=DEMO, executor="serial") as (
                     server, client):
                 for _ in range(3):
                     docs = await asyncio.gather(*(
@@ -207,7 +207,7 @@ class TestPartitionViews:
         seeds = range(12)
 
         async def main():
-            async with serve_harness(graphs=DEMO, executor="threads") as (
+            async with serve_harness(graphs=DEMO, executor="serial") as (
                     server, client):
                 before = set(os.listdir("/dev/shm"))
                 docs = await asyncio.gather(*(
@@ -507,7 +507,7 @@ class TestValidation:
 class TestProtocol:
     def test_healthz_stats_and_flags(self):
         async def main():
-            async with serve_harness(graphs=DEMO, executor="threads") as (
+            async with serve_harness(graphs=DEMO, executor="serial") as (
                     server, client):
                 health = await client.healthz()
                 lean = await client.solve("demo", solver="matching.maximum",
@@ -525,10 +525,31 @@ class TestProtocol:
         assert len(full["result"]["certificate"]) == full["result"]["size"]
         assert stats["server"]["requests_total"] >= 4
         assert stats["server"]["errors_total"] == 0
-        assert stats["executor"]["backend"] == "threads"
+        assert stats["executor"]["backend"] == "serial"
         assert stats["executor"]["ship_handles"] is False
         assert stats["batcher"]["requests"] == 2
         assert stats["store"]["graphs"] == 1
+
+    def test_default_executor_is_serial_and_ready(self, monkeypatch):
+        """With no executor and no $REPRO_EXECUTOR, serve resolves the way
+        every other engine does: serial, warm at once, no pool."""
+        from repro.dist.executor import EXECUTOR_ENV
+
+        monkeypatch.delenv(EXECUTOR_ENV, raising=False)
+
+        async def main():
+            async with serve_harness(graphs=DEMO) as (server, client):
+                ready = await client.readyz()
+                stats = await client.stats()
+                statz = await client.statz()
+                return server.executor_name, ready, stats, statz
+
+        name, (ready, doc), stats, statz = run_async(main())
+        assert name == "serial"
+        assert ready is True, doc
+        assert stats["executor"]["backend"] == "serial"
+        assert stats["executor"]["current_backend"] == "serial"
+        assert statz["executor"]["pools_created"] == 0
 
     def test_keep_alive_serves_many_requests_per_connection(self):
         async def main():

@@ -259,12 +259,6 @@ def _legacy_blossom(graph):
     return maximum_matching(graph, algorithm="blossom")
 
 
-def _legacy_augmenting(graph):
-    from repro.matching.api import maximum_matching
-
-    return maximum_matching(graph, algorithm="augmenting")
-
-
 def _legacy_greedy_maximal(graph):
     from repro.matching.api import maximal_matching
 
@@ -434,7 +428,6 @@ _LEGACY = {
     "matching.maximum": _legacy_maximum,
     "matching.hopcroft_karp": _legacy_hopcroft_karp,
     "matching.blossom": _legacy_blossom,
-    "matching.augmenting": _legacy_augmenting,
     "matching.greedy_maximal": _legacy_greedy_maximal,
     "matching.coreset": _legacy_matching_coreset,
     "matching.subsampled_coreset": _legacy_subsampled,

@@ -170,11 +170,13 @@ class TestBuildSeries:
                 "kind": "substrate_bench", "git_commit": COMMIT_A,
                 "created_at": "2026-01-01T00:00:00+00:00",
                 "solver_facade": [{"solver": "greedy", "wall_s": 0.5}],
-                "matching_scan": [{"n": 4000, "optimized_s": 0.02}]})
+                "pool_lifecycle": [{"scenario": "e1-small",
+                                    "variant": "serial",
+                                    "per_round_s": 0.02}]})
         series = build_series(collect_trend_docs(tmp_path))
         assert {(s.experiment, s.metric, s.kind) for s in series} == {
             ("bench", "solver_facade.greedy.wall_s", "perf"),
-            ("bench", "matching_scan.n4000.optimized_s", "perf"),
+            ("bench", "pool_lifecycle.e1-small.serial.per_round_s", "perf"),
         }
 
 
