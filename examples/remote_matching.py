@@ -14,8 +14,9 @@ The script shows the full external-fleet workflow:
 1. `RemoteExecutor(spawn_workers=0)` + `start()` — bind now, spawn nobody;
 2. launch two `repro worker --connect HOST:PORT` subprocesses;
 3. run the matching-coreset protocol over the fleet, twice, on one
-   persistent executor — the second barrier reuses both connections and
-   the piece cache ships each graph piece at most once per worker;
+   persistent executor — the first barrier waits for both workers to
+   join; every task names the graph and each machine cuts its own
+   piece, so the content cache ships the graph at most once per worker;
 4. verify bit-identity against a serial run and print the cache counters;
 5. close — workers receive a shutdown frame and exit 0.
 
@@ -71,12 +72,12 @@ def main() -> None:
             assert identical, "determinism contract violated"
 
         stats = ex.piece_cache.stats()
-        print(f"\npiece cache: {stats['pieces_stored']} pieces stored once, "
+        print(f"\ncontent cache: {stats['pieces_stored']} graph stored once, "
               f"{stats['fetches_served']} fetches served "
-              f"(bound: pieces x workers = "
+              f"(bound: graphs x workers = "
               f"{stats['pieces_stored'] * N_WORKERS}), "
               f"{stats['bytes_shipped']} bytes shipped "
-              f"for 2 barriers over the same partition")
+              f"for 2 barriers over the same graph")
         assert stats["fetches_served"] <= stats["pieces_stored"] * N_WORKERS
     finally:
         ex.close()

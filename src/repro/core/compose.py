@@ -29,7 +29,12 @@ from repro.matching.api import Algorithm, maximum_matching
 from repro.matching.maximal import greedy_maximal_matching
 from repro.utils.rng import RandomState
 
-__all__ = ["compose_matching", "compose_vertex_cover", "union_of_coresets"]
+__all__ = [
+    "compose_cover",
+    "compose_matching",
+    "compose_vertex_cover",
+    "union_of_coresets",
+]
 
 MatchCombiner = Literal["exact", "greedy"]
 CoverCombiner = Literal["two_approx", "konig", "auto"]
@@ -76,10 +81,30 @@ def compose_vertex_cover(
     rng: RandomState = None,
 ) -> np.ndarray:
     """Final vertex cover: union of fixed sets plus a cover of the union of
-    residual subgraphs."""
-    residual_union = union_of_coresets(
-        n_vertices, [c.residual.edges for c in coresets], template
+    residual subgraphs (see :func:`compose_cover`)."""
+    return compose_cover(
+        n_vertices,
+        [c.residual.edges for c in coresets],
+        [c.fixed_vertices for c in coresets],
+        combiner=combiner,
+        template=template,
+        rng=rng,
     )
+
+
+def compose_cover(
+    n_vertices: int,
+    residuals: Sequence[np.ndarray],
+    fixed: Sequence[np.ndarray],
+    combiner: CoverCombiner = "auto",
+    template: Graph | None = None,
+    rng: RandomState = None,
+) -> np.ndarray:
+    """Theorem 2's composition straight from the messages: the k residual
+    edge arrays are validated and canonicalized once, as one union graph,
+    and the cover is the sorted union of every fixed set with a cover of
+    that graph, read off a mask over the vertices."""
+    residual_union = union_of_coresets(n_vertices, residuals, template)
     if combiner == "auto":
         combiner = "konig" if isinstance(residual_union, BipartiteGraph) else "two_approx"
     if combiner == "konig":
@@ -91,8 +116,8 @@ def compose_vertex_cover(
     else:
         raise ValueError(f"unknown cover combiner {combiner!r}")
 
-    fixed_parts = [c.fixed_vertices for c in coresets if c.fixed_vertices.size]
-    if fixed_parts:
-        fixed = np.concatenate(fixed_parts)
-        return np.unique(np.concatenate([fixed, residual_cover]))
-    return np.unique(residual_cover)
+    covered = np.zeros(n_vertices, dtype=bool)
+    covered[residual_cover] = True
+    for part in fixed:
+        covered[part] = True
+    return np.flatnonzero(covered)

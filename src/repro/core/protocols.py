@@ -41,11 +41,11 @@ import numpy as np
 from repro.core.compose import (
     CoverCombiner,
     MatchCombiner,
+    compose_cover,
     compose_matching,
-    compose_vertex_cover,
 )
 from repro.core.matching_coreset import matching_coreset_message
-from repro.core.vc_coreset import VCCoresetResult, vc_coreset
+from repro.core.vc_coreset import vc_coreset
 from repro.dist.coordinator import Coordinator, SimultaneousProtocol
 from repro.dist.message import Message
 from repro.graph.edgelist import Graph
@@ -163,17 +163,10 @@ def vertex_cover_coreset_protocol(
     """
 
     def combine(coordinator: Coordinator, messages: list[Message]) -> np.ndarray:
-        results = [
-            VCCoresetResult(
-                fixed_vertices=m.fixed_vertices,
-                residual=Graph(coordinator.n_vertices, m.edges, validated=False),
-                trace=None,  # type: ignore[arg-type]
-            )
-            for m in messages
-        ]
-        return compose_vertex_cover(
+        return compose_cover(
             coordinator.n_vertices,
-            results,
+            [m.edges for m in messages],
+            [m.fixed_vertices for m in messages],
             combiner=combiner,
             template=coordinator.template,
         )
@@ -280,16 +273,12 @@ def grouped_vertex_cover_protocol(
     def combine(coordinator: Coordinator, messages: list[Message]) -> np.ndarray:
         # Messages live in super-vertex id space; we cannot use the template.
         setup_obj: GroupingSetup = combine.setup_obj  # type: ignore[attr-defined]
-        results = [
-            VCCoresetResult(
-                fixed_vertices=m.fixed_vertices,
-                residual=Graph(setup_obj.n_groups, m.edges),
-                trace=None,  # type: ignore[arg-type]
-            )
-            for m in messages
-        ]
-        group_cover = compose_vertex_cover(
-            setup_obj.n_groups, results, combiner=combiner, template=None
+        group_cover = compose_cover(
+            setup_obj.n_groups,
+            [m.edges for m in messages],
+            [m.fixed_vertices for m in messages],
+            combiner=combiner,
+            template=None,
         )
         return setup_obj.expand(group_cover)
 

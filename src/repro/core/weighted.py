@@ -133,21 +133,11 @@ def weighted_matching_coreset_protocol(
 def _weighted_subset(wg: WeightedGraph, edges: np.ndarray) -> WeightedGraph:
     """The sub-WeightedGraph of ``wg`` on the given edge rows (looked up by
     key; duplicates collapse)."""
-    from repro.utils.arrays import edge_keys
-
-    if np.asarray(edges).size == 0:
-        return WeightedGraph(
-            wg.n_vertices,
-            np.zeros((0, 2), dtype=np.int64),
-            np.zeros(0, dtype=np.float64),
-            validated=True,
-        )
-    keys = np.unique(edge_keys(edges, max(wg.n_vertices, 1)))
-    idx = np.searchsorted(wg.edge_key_array, keys)
-    if (idx >= wg.n_edges).any() or (wg.edge_key_array[idx] != keys).any():
+    rows = np.unique(wg.edge_rows(edges))
+    if rows.size and rows[0] < 0:
         raise ValueError("coreset edge not found in the weighted graph")
     return WeightedGraph(
-        wg.n_vertices, wg.edges[idx], wg.weights[idx], validated=True
+        wg.n_vertices, wg.edges[rows], wg.weights[rows], validated=True
     )
 
 

@@ -35,6 +35,6 @@ def matching_based_cover(
         else:
             matching = greedy_maximal_matching(graph, order="random", rng=rng)
     m = np.asarray(matching, dtype=np.int64).reshape(-1, 2)
-    if m.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    return np.unique(m.ravel())
+    covered = np.zeros(graph.n_vertices, dtype=bool)
+    covered[m.ravel()] = True
+    return np.flatnonzero(covered)

@@ -31,6 +31,7 @@ from repro.dist.executor import Executor, ExecutorSpec, resolve_executor
 from repro.dist.ledger import CommunicationLedger
 from repro.dist.machine import Machine, Summarizer
 from repro.dist.message import Message
+from repro.dist.shm import ResidentGraph
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.edgelist import Graph
 from repro.utils.rng import RandomState, spawn_generators
@@ -57,7 +58,10 @@ class _Partitioned(TypingProtocol):
     graph: Graph
     k: int
 
-    def piece(self, i: int) -> Graph: ...
+    def recipe(self, i: int) -> Any:
+        """What machine ``i`` needs besides the graph: an object whose
+        ``piece(graph, i)`` cuts that machine's piece."""
+        ...
 
 
 @dataclass
@@ -164,13 +168,19 @@ class ProtocolResult(Generic[T]):
 
 
 def _summarize_machine(task: tuple) -> Message:
-    """Run one machine's summarizer; the unit of work an executor ships.
+    """Cut one machine's piece and run its summarizer; the unit of work an
+    executor ships.
 
-    Module-level on purpose: the ``processes`` backend pickles this function
-    (and its task tuple) into a worker, which a closure could not survive.
+    The task names the graph (the executor's resident reference) and the
+    partition's recipe for machine ``index``; the piece is cut here, on
+    the machine.  Module-level on purpose: the pooled backends pickle this
+    function (and its task tuple) into a worker, which a closure could not
+    survive.
     """
-    index, piece, gen, summarizer, public = task
-    machine = Machine(index=index, piece=piece, rng=gen)
+    graph, recipe, index, gen, summarizer, public = task
+    if isinstance(graph, ResidentGraph):
+        graph = graph.open()
+    machine = Machine(index=index, piece=recipe.piece(graph, index), rng=gen)
     return machine.summarize(summarizer, public)
 
 
@@ -195,9 +205,14 @@ def run_simultaneous(
     after the barrier in that same order, and the public setup and the
     combine step always run in the calling process — so every backend
     yields bit-identical results for the same seed (the contract documented
-    in ``docs/PARALLELISM.md``).  The ``processes`` backend additionally
-    requires the summarizer to be picklable: each machine's task, piece
-    included, is pickled into a worker.
+    in ``docs/PARALLELISM.md``).  A machine's task is a reference, not a
+    piece: the executor's resident reference to the graph
+    (:meth:`~repro.dist.executor.Executor.resident`), the partition's
+    recipe for that machine, its index, generator, summarizer and public
+    setup.  The machine cuts its own piece, so the coordinator never
+    builds or ships the k pieces, and a random partition's task pickles
+    to O(1) bytes in the edge count.  The pooled backends additionally
+    require the summarizer to be picklable.
 
     An executor resolved here (by name or from the environment) is closed
     before returning; a passed-in :class:`~repro.dist.executor.Executor`
@@ -217,8 +232,12 @@ def run_simultaneous(
             else None
         )
 
+        # A lone machine's piece is the whole graph, and a lone task runs
+        # inline until a pool exists: it carries the graph itself.
+        ref = backend.resident(graph) if k > 1 else graph
         tasks = [
-            (i, partition.piece(i), gens[i], protocol.summarizer, public)
+            (ref, partition.recipe(i), i, gens[i], protocol.summarizer,
+             public)
             for i in range(k)
         ]
         messages: List[Message] = backend.map(_summarize_machine, tasks)

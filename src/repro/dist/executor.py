@@ -33,7 +33,7 @@ Backends
     :class:`~repro.dist.remote.RemoteExecutor`: a socket coordinator plus
     ``repro worker`` processes (local subprocesses by default, other
     hosts by design), with per-task timeouts, bounded retry, heartbeats,
-    and a content-addressed piece cache.  Registered lazily here so this
+    and a content-addressed graph cache.  Registered lazily here so this
     module never imports the socket machinery it does not need.
 
 Lifecycle
@@ -79,9 +79,13 @@ from __future__ import annotations
 
 import os
 import pickle
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Callable, Iterable, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Union
+
+if TYPE_CHECKING:  # pragma: no cover - the segment machinery loads lazily
+    from repro.dist.shm import ResidentPin
 
 __all__ = [
     "EXECUTOR_ENV",
@@ -153,6 +157,18 @@ class Executor:
         """Apply ``fn`` to every task; return results in input order."""
         raise NotImplementedError
 
+    def resident(self, graph: Any) -> Any:
+        """What a machine task carries to name ``graph``.
+
+        Machines cut their own pieces from the graph
+        (:func:`~repro.dist.coordinator.run_simultaneous`), so the graph
+        must reach every worker once, not once per task.  In-process this
+        is the graph itself; :class:`ProcessExecutor` pins it in a shared
+        segment, and the remote backend ships it once per worker through
+        its content cache.
+        """
+        return graph
+
     # ------------------------------------------------------------------ #
     # lifecycle
     # ------------------------------------------------------------------ #
@@ -223,6 +239,12 @@ class ProcessExecutor(Executor):
     is discarded (:class:`WorkerPoolBrokenError`) and replaced on the next
     call.
 
+    :meth:`resident` keeps one graph — the most recent — pinned in a
+    shared segment (:class:`~repro.dist.shm.ResidentPin`), which each
+    worker attaches once.  Pinning another graph unlinks the previous
+    segment, so barriers that switch graphs must not overlap on one
+    executor; :meth:`close` unlinks the last one.
+
     Parameters
     ----------
     max_workers:
@@ -235,6 +257,8 @@ class ProcessExecutor(Executor):
         super().__init__()
         self.max_workers = _default_workers(max_workers)
         self._pool: Optional[ProcessPoolExecutor] = None
+        self._pin: Optional["ResidentPin"] = None
+        self._pin_lock = threading.Lock()
         #: How many pools this executor has created over its lifetime.
         #: Stays at 1 across barriers unless a broken pool was discarded
         #: (then the next map() bumps it) — the observable half of the
@@ -276,6 +300,18 @@ class ProcessExecutor(Executor):
                 raise
             raise UnpicklableTaskError(self._advice(culprit, exc)) from exc
 
+    def resident(self, graph: Any) -> Any:
+        from repro.dist.shm import ResidentPin
+
+        self._ensure_open()
+        with self._pin_lock:
+            pin = self._pin
+            if pin is None or pin.graph is not graph:
+                self._pin = ResidentPin(graph)
+                if pin is not None:
+                    pin.close()
+            return self._pin.ref
+
     # ------------------------------------------------------------------ #
     def _ensure_pool(self) -> ProcessPoolExecutor:
         if self._pool is None:
@@ -292,6 +328,10 @@ class ProcessExecutor(Executor):
         pool, self._pool = self._pool, None
         if pool is not None:
             pool.shutdown(wait=True)
+        with self._pin_lock:
+            pin, self._pin = self._pin, None
+        if pin is not None:
+            pin.close()
         super().close()
 
     # ------------------------------------------------------------------ #
@@ -345,7 +385,7 @@ def _pickle_advice(what: str, exc: Exception) -> str:
 
 def _make_remote(max_workers: Optional[int] = None) -> Executor:
     # Imported lazily: the remote backend pulls in sockets, subprocess
-    # management, and the piece cache, none of which the in-process
+    # management, and the content cache, none of which the in-process
     # backends need, and repro.dist.remote imports *this* module.
     from repro.dist.remote import RemoteExecutor
 

@@ -35,17 +35,19 @@ Robustness primitives the in-process backends never needed:
   and transparently falls back to a local ``processes`` pool, so
   ``--executor remote`` on a machine with no fleet still completes.
 
-Piece transfer
+Graph transfer
 --------------
-Shipping a graph piece inside every task pickles the same bytes once per
-barrier per task, and over a socket those bytes cross the network.  The
-:class:`RemotePieceCache` removes the repeats at the wire: when a task is
-serialized, every :class:`~repro.graph.edgelist.Graph` above a size
-threshold is replaced by its **content digest** (via the pickle
-``persistent_id`` hook); a worker that has not seen the digest sends one
-``fetch`` frame, receives the payload once, and **pins** it for every
-later task — so repeated barriers over the same partition ship each
-piece's bytes at most once per worker.
+A machine task names the whole graph and the machine cuts its own piece
+(:func:`~repro.dist.coordinator.run_simultaneous`), so every task of a
+barrier — and of every later barrier over the same graph — carries the
+same graph.  The :class:`RemotePieceCache` ships it once per worker: when
+a task is serialized, every :class:`~repro.graph.edgelist.Graph` above a
+size threshold — and each machine's rows of an explicit partition — is
+replaced by its **content digest** (via the pickle ``persistent_id``
+hook), computed once per object; a worker that has not seen the digest
+sends one ``fetch`` frame, receives the payload once, and **pins** it for
+every later task.  Both sides keep only the few most recently used
+payloads, never evicting one the barrier in flight names.
 
 Lifecycle
 ---------
@@ -72,8 +74,11 @@ Or join externally-launched workers (same host or not)::
 
     REPRO_REMOTE_BIND=0.0.0.0:7341 REPRO_REMOTE_SPAWN=0 \\
         repro solve planted:n=4000 --solver coreset --problem matching \\
-        --k 8 --executor remote          # coordinator
-    repro worker --connect HOST:7341    # each worker, anywhere
+        --k 8 --executor remote --workers 2    # coordinator
+    repro worker --connect HOST:7341    # each of the 2 workers, anywhere
+
+The coordinator waits up to the connect timeout for all ``--workers`` of
+an external fleet before the first barrier.
 
 Chaos hooks
 -----------
@@ -97,7 +102,7 @@ import sys
 import threading
 import time
 import warnings
-from collections import deque
+from collections import OrderedDict, deque
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.dist.executor import (
@@ -134,15 +139,21 @@ REMOTE_SPAWN_ENV = "REPRO_REMOTE_SPAWN"
 REMOTE_TIMEOUT_ENV = "REPRO_REMOTE_TIMEOUT"
 #: Infrastructure-failure retries per task (default 2).
 REMOTE_RETRIES_ENV = "REPRO_REMOTE_RETRIES"
-#: Seconds to wait for the first worker before degrading (default 20).
+#: Seconds to wait for workers before degrading (default 20).
 REMOTE_CONNECT_TIMEOUT_ENV = "REPRO_REMOTE_CONNECT_TIMEOUT"
 #: Worker heartbeat interval in seconds (default 1.0).
 REMOTE_HEARTBEAT_ENV = "REPRO_REMOTE_HEARTBEAT"
-#: Smallest graph payload (bytes) the piece cache digests (default 4096).
+#: Smallest graph payload (bytes) the content cache digests (default 4096).
 REMOTE_CACHE_MIN_ENV = "REPRO_REMOTE_CACHE_MIN"
 
 _PICKLE_PROTOCOL = pickle.HIGHEST_PROTOCOL
 _RECV_CHUNK = 1 << 20
+#: How many payloads (graphs, and explicit partitions' machine rows) the
+#: content cache keeps on each side: the coordinator's store and every
+#: worker's pins (least recently used go first).
+_CACHED_PAYLOADS = 4
+#: How long shutdown() waits, in total, for the pool's threads to finish.
+_JOIN_TIMEOUT = 5.0
 #: Default for ``$REPRO_REMOTE_CONNECT_TIMEOUT`` — shared by the
 #: coordinator's wait-for-workers window and the worker's connect-retry
 #: grace so the two sides of the startup race actually mirror.
@@ -217,17 +228,23 @@ class _FrameReader:
 
 
 # --------------------------------------------------------------------- #
-# the piece cache (coordinator side) and its pickle hooks
+# the content cache (coordinator side) and its pickle hooks
 # --------------------------------------------------------------------- #
 class RemotePieceCache:
-    """Content-addressed payload store: serialize once, fetch-and-pin.
+    """Content-addressed graph store: serialize once, fetch-and-pin.
 
     The coordinator-side half of the remote transfer strategy.  When a
-    task is pickled, graph pieces above ``min_bytes`` are swapped for the
-    sha256 digest of their pickled payload (:class:`_CachingPickler`); the
-    payload itself is stored here exactly once per distinct content.
-    Workers resolve a digest they have not pinned with one ``fetch``
-    round-trip and keep the object for every later task.
+    task is pickled, graphs (and explicit partitions' machine rows)
+    above ``min_bytes`` are swapped for the sha256 digest of their pickled
+    payload (:class:`_CachingPickler`).  The digest is computed once per
+    object — later tasks naming the same object are identity hits — and
+    the payload is stored once per distinct content.  Workers resolve a
+    digest they have not pinned with one ``fetch`` round-trip and keep the
+    object for later tasks.
+
+    Only the :data:`_CACHED_PAYLOADS` most recently used payloads are kept;
+    :meth:`begin_barrier` marks the start of a barrier, and no digest that
+    barrier's tasks name is evicted while it runs.
 
     Counters (``pieces_stored`` / ``store_hits`` / ``fetches_served`` /
     ``bytes_stored`` / ``bytes_shipped``) let tests and ``repro bench``
@@ -238,7 +255,12 @@ class RemotePieceCache:
         if min_bytes is None:
             min_bytes = int(os.environ.get(REMOTE_CACHE_MIN_ENV, 4096))
         self.min_bytes = max(int(min_bytes), 0)
-        self._payloads: Dict[str, bytes] = {}
+        self._payloads: "OrderedDict[str, bytes]" = OrderedDict()
+        # One registered object per digest, held so its id is never reused
+        # while the id -> digest entry exists.
+        self._holders: Dict[str, Any] = {}
+        self._digests: Dict[int, str] = {}
+        self._barrier: set = set()
         self._lock = threading.Lock()
         self.pieces_stored = 0
         self.store_hits = 0
@@ -248,28 +270,66 @@ class RemotePieceCache:
 
     # ------------------------------------------------------------------ #
     def cacheable(self, obj: Any) -> bool:
-        """Whether ``obj`` should cross the wire as a digest."""
+        """Whether ``obj`` should cross the wire as a digest: a graph, or
+        a machine's rows of an explicit partition, of at least
+        ``min_bytes``.  Both are immutable, so a digest can be keyed on
+        the object."""
         # Imported lazily so a worker process can import this module
         # before it ever touches numpy.
         from repro.graph.edgelist import Graph
+        from repro.graph.partition import RowsRecipe
 
-        return (
-            isinstance(obj, Graph)
-            and obj.n_edges * 16 >= self.min_bytes
-        )
+        if isinstance(obj, Graph):
+            size = obj.n_edges * 16
+        elif isinstance(obj, RowsRecipe):
+            size = obj.rows.nbytes
+        else:
+            return False
+        return size >= self.min_bytes
+
+    def begin_barrier(self) -> None:
+        """Start a barrier: from now on only its digests are protected."""
+        with self._lock:
+            self._barrier = set()
 
     def register(self, obj: Any) -> str:
         """Store ``obj``'s payload (if new) and return its content digest."""
+        with self._lock:
+            digest = self._digests.get(id(obj))
+            if digest is not None and self._holders.get(digest) is obj:
+                return self._hit(digest)
         payload = pickle.dumps(obj, _PICKLE_PROTOCOL)
         digest = hashlib.sha256(payload).hexdigest()
         with self._lock:
-            if digest not in self._payloads:
-                self._payloads[digest] = payload
-                self.pieces_stored += 1
-                self.bytes_stored += len(payload)
-            else:
-                self.store_hits += 1
+            previous = self._holders.get(digest)
+            if previous is not None:
+                self._digests.pop(id(previous), None)
+            self._holders[digest] = obj
+            self._digests[id(obj)] = digest
+            if digest in self._payloads:
+                return self._hit(digest)
+            self._payloads[digest] = payload
+            self.pieces_stored += 1
+            self.bytes_stored += len(payload)
+            self._barrier.add(digest)
+            self._evict()
         return digest
+
+    def _hit(self, digest: str) -> str:
+        self.store_hits += 1
+        self._payloads.move_to_end(digest)
+        self._barrier.add(digest)
+        return digest
+
+    def _evict(self) -> None:
+        """Drop least recently used payloads the barrier does not name."""
+        for digest in list(self._payloads):
+            if len(self._payloads) <= _CACHED_PAYLOADS:
+                break
+            if digest not in self._barrier:
+                del self._payloads[digest]
+                holder = self._holders.pop(digest)
+                self._digests.pop(id(holder), None)
 
     def payload(self, digest: str) -> bytes:
         """The stored payload for ``digest`` (served to worker fetches)."""
@@ -395,6 +455,14 @@ class _RemotePool:
         self._outstanding = 0
         self._failure: Optional[BaseException] = None
         self._respawns_left = 0
+        # Admit and serve threads, and the connections still in admission:
+        # shutdown() wakes and joins all of them.
+        self._threads: List[threading.Thread] = []
+        self._admitting: set = set()
+        #: When the listener opened, and whether the first barrier's wait
+        #: for workers (:meth:`RemoteExecutor._ensure_pool`) has run.
+        self.opened_at = time.monotonic()
+        self.fleet_awaited = False
 
         host, port = ex.bind_address
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
@@ -426,16 +494,34 @@ class _RemotePool:
         proc = subprocess.Popen(cmd, stdout=subprocess.DEVNULL, env=env)
         self._spawned.append(proc)
 
+    def _start_thread(self, target: Callable, args: tuple,
+                      name: str) -> bool:
+        """Start a daemon thread that shutdown() will join; refused (False)
+        once the pool is stopping."""
+        thread = threading.Thread(target=target, args=args, name=name,
+                                  daemon=True)
+        with self._cond:
+            if self._stopping:
+                return False
+            self._threads = [t for t in self._threads if t.is_alive()]
+            self._threads.append(thread)
+        thread.start()
+        return True
+
     def _accept_loop(self) -> None:
         while True:
             try:
                 conn, _addr = self._listener.accept()
             except OSError:
-                return  # listener closed: pool is shutting down
-            threading.Thread(
-                target=self._admit, args=(conn,),
-                name="repro-remote-admit", daemon=True,
-            ).start()
+                return  # listener shut down: pool is shutting down
+            with self._cond:
+                self._admitting.add(conn)
+            if not self._start_thread(self._admit, (conn,),
+                                      "repro-remote-admit"):
+                with self._cond:
+                    self._admitting.discard(conn)
+                conn.close()
+                return
 
     def _admit(self, conn: socket.socket) -> None:
         """Read the hello frame and register the worker."""
@@ -449,6 +535,9 @@ class _RemotePool:
         except (ConnectionError, OSError, pickle.UnpicklingError):
             conn.close()
             return
+        finally:
+            with self._cond:
+                self._admitting.discard(conn)
         info = hello[1]
         proc = None
         pid = info.get("pid")
@@ -463,10 +552,10 @@ class _RemotePool:
                 return
             self._workers.append(worker)
             self._cond.notify_all()
-        threading.Thread(
-            target=self._serve, args=(worker,),
-            name=f"repro-remote-worker-{pid}", daemon=True,
-        ).start()
+        if not self._start_thread(self._serve, (worker,),
+                                  f"repro-remote-worker-{pid}"):
+            worker.dead = True
+            conn.close()
 
     def wait_for_workers(self, count: int, timeout: float) -> bool:
         """Block until ``count`` workers are connected (or timeout)."""
@@ -710,25 +799,35 @@ class _RemotePool:
 
     # ------------------------------------------------------------------ #
     def shutdown(self) -> None:
+        """Stop the listener, the workers and every thread of this pool.
+
+        Closing a listening socket does not wake a thread blocked in its
+        ``accept()`` on Linux, so every socket is shut down before it is
+        closed, and the accept, admit and serve threads are joined within
+        :data:`_JOIN_TIMEOUT`.
+        """
         with self._cond:
             self._stopping = True
             workers = list(self._workers)
             self._workers.clear()
+            admitting = list(self._admitting)
             self._cond.notify_all()
-        try:
-            self._listener.close()
-        except OSError:  # pragma: no cover - best effort
-            pass
+        for sock in [self._listener, *admitting]:
+            _shut(sock)
         for worker in workers:
             worker.dead = True
             try:
                 _send_frame(worker.sock, ("shutdown",), worker.send_lock)
             except OSError:
                 pass
-            try:
-                worker.sock.close()
-            except OSError:  # pragma: no cover - best effort
-                pass
+            _shut(worker.sock)
+        deadline = time.monotonic() + _JOIN_TIMEOUT
+        self._accept_thread.join(timeout=_JOIN_TIMEOUT)
+        with self._cond:
+            threads = list(self._threads)
+        for thread in threads:
+            if thread is not threading.current_thread():
+                thread.join(timeout=max(deadline - time.monotonic(), 0.0))
         for proc in self._spawned:
             if proc.poll() is None:
                 proc.terminate()
@@ -738,6 +837,18 @@ class _RemotePool:
             except subprocess.TimeoutExpired:  # pragma: no cover
                 proc.kill()
                 proc.wait(timeout=5)
+
+
+def _shut(sock: socket.socket) -> None:
+    """Shut a socket down (waking any thread blocked on it), then close it."""
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # never connected, or already shut down
+    try:
+        sock.close()
+    except OSError:  # pragma: no cover - best effort
+        pass
 
 
 # --------------------------------------------------------------------- #
@@ -770,9 +881,12 @@ class RemoteExecutor(Executor):
         (default ``$REPRO_REMOTE_RETRIES`` or 2).  Task exceptions are
         never retried.
     connect_timeout:
-        Seconds to wait for the first worker before degrading to the
-        ``processes`` backend with a :class:`RemoteDegradedWarning`
-        (default ``$REPRO_REMOTE_CONNECT_TIMEOUT`` or 20).
+        Seconds to wait for workers before the first barrier: for the
+        first one, or with ``spawn_workers=0`` for all ``max_workers`` of
+        the fleet (the barrier then starts with whoever came).  With none
+        connected the executor degrades to the ``processes`` backend with
+        a :class:`RemoteDegradedWarning` (default
+        ``$REPRO_REMOTE_CONNECT_TIMEOUT`` or 20).
     heartbeat_interval:
         Worker heartbeat period (default ``$REPRO_REMOTE_HEARTBEAT`` or
         1.0); a worker silent for ``max(6×interval, 6s)`` is presumed
@@ -858,15 +972,16 @@ class RemoteExecutor(Executor):
         """Start listening without waiting for workers; return the address.
 
         The external-worker workflow needs the port *before* any worker
-        can be launched, but :meth:`map` only opens the listener on demand
-        (and then waits ``connect_timeout`` for someone to appear).
+        can be launched, but :meth:`map` only opens the listener on demand.
         ``start()`` breaks the cycle::
 
-            ex = RemoteExecutor(spawn_workers=0)
+            ex = RemoteExecutor(max_workers=2, spawn_workers=0)
             host, port = ex.start()
-            # ... launch `repro worker --connect host:port` anywhere ...
+            # ... launch 2 `repro worker --connect host:port` anywhere ...
             ex.map(fn, tasks)
 
+        The first barrier waits for the workers within ``connect_timeout``
+        of this call, as it does for a listener that :meth:`map` opens.
         Idempotent; returns ``None`` if the executor already degraded.
         """
         self._ensure_open()
@@ -891,6 +1006,7 @@ class RemoteExecutor(Executor):
         pool = self._ensure_pool()
         if pool is None:  # degraded while ensuring
             return self._fallback.map(fn, tasks)
+        self.piece_cache.begin_barrier()
         payloads = [
             self._serialize(fn, task, i, cache=self.piece_cache)
             for i, task in enumerate(tasks)
@@ -912,12 +1028,34 @@ class RemoteExecutor(Executor):
                 _pickle_advice(f"task {index} ({task!r})", exc)
             ) from exc
 
+    def resident(self, graph: Any) -> Any:
+        """The graph itself: the content cache ships it once per worker.
+        The pool is resolved first, so an executor that degrades here
+        hands out its ``processes`` fallback's pinned segment instead."""
+        self._ensure_open()
+        if self._fallback is None:
+            self._ensure_pool()
+        if self._fallback is not None:
+            return self._fallback.resident(graph)
+        return graph
+
     # ------------------------------------------------------------------ #
     def _ensure_pool(self) -> Optional[_RemotePool]:
         if self._pool is None:
-            pool = _RemotePool(self)
+            self._pool = _RemotePool(self)
             self.pools_created += 1
-            if not pool.wait_for_workers(1, self.connect_timeout):
+        pool = self._pool
+        if not pool.fleet_awaited:
+            # The first barrier waits, within the connect window, for one
+            # worker — or for a whole fleet launched by hand, so none of
+            # it dials in only after the run ended and the listener closed
+            # — then starts with whoever came.
+            pool.fleet_awaited = True
+            wanted = self.max_workers if self.spawn_workers == 0 else 1
+            deadline = pool.opened_at + self.connect_timeout
+            pool.wait_for_workers(wanted, deadline - time.monotonic())
+            if pool.n_workers == 0:
+                self._pool = None
                 pool.shutdown()
                 warnings.warn(
                     f"no remote worker connected to "
@@ -930,8 +1068,7 @@ class RemoteExecutor(Executor):
                 self._fallback = ProcessExecutor(max_workers=self.max_workers)
                 self.fallback_events += 1
                 return None
-            self._pool = pool
-        return self._pool
+        return pool
 
     def _discard_pool(self) -> None:
         pool, self._pool = self._pool, None
@@ -1045,10 +1182,11 @@ def worker_main(connect: str, tag: Optional[str] = None) -> int:
                      daemon=True).start()
 
     reader = _FrameReader(sock)
-    pins: Dict[str, Any] = {}
+    pins: "OrderedDict[str, Any]" = OrderedDict()
 
     def _fetch(digest: str) -> Any:
         if digest in pins:
+            pins.move_to_end(digest)
             return pins[digest]
         _send_frame(sock, ("fetch", digest), send_lock)
         while True:
@@ -1056,8 +1194,10 @@ def worker_main(connect: str, tag: Optional[str] = None) -> int:
             if msg is None:  # pragma: no cover - blocking recv
                 continue
             if msg[0] == "piece" and msg[1] == digest:
-                pins[digest] = pickle.loads(msg[2])
-                return pins[digest]
+                obj = pins[digest] = pickle.loads(msg[2])
+                while len(pins) > _CACHED_PAYLOADS:
+                    pins.popitem(last=False)
+                return obj
             if msg[0] == "shutdown":
                 raise ConnectionError("shutdown during fetch")
 

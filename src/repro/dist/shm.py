@@ -1,32 +1,33 @@
-"""Shared-memory edge segments and their handles.
+"""Shared-memory graph segments and their handles.
 
-``repro serve`` keeps every registered graph resident for its whole
-lifetime.  With a process pool, pickling that graph into every request's
-task would copy the whole edge array per request, so the server *pins* it
-instead: :class:`SharedEdgeStore` writes the edge array once into a
+Two owners keep a graph resident in a segment instead of pickling it into
+every task.  ``repro serve`` pins every registered graph for its whole
+lifetime, and a :class:`~repro.dist.executor.ProcessExecutor` pins the
+graph of its most recent barrier (:class:`ResidentPin`), so a machine
+task carries only a :class:`ResidentGraph` reference and the machine cuts
+its own piece.  :class:`SharedEdgeStore` writes a graph once into a
 ``multiprocessing.shared_memory`` segment (or a memory-mapped temp file
-where POSIX shared memory is unavailable), each task carries only a
-lightweight :class:`EdgeHandle` — ``(backend, name, offset, rows)`` plus
-graph metadata — and workers reconstruct a read-only graph view *in
-place*, no copy on either side.  A reconstructed view is bit-identical to
-the array that was stored (covered by ``tests/test_dist_shm.py``).
-
-The engines themselves always pickle pieces into tasks: a fresh partition
-per solve gains nothing from a segment it packs once and reads once
-(``docs/PARALLELISM.md`` §6 has the measurement).
+where POSIX shared memory is unavailable): the edge array, and for the
+weighted types the per-edge weights and the capacities.  A task carries a
+lightweight :class:`EdgeHandle` — ``(backend, name, offsets, rows)`` plus
+graph metadata — and workers reconstruct a read-only graph of the same
+type *in place*, no copy on either side.  A reconstructed view is
+bit-identical to the arrays that were stored (covered by
+``tests/test_dist_shm.py``).
 
 Lifecycle
 ---------
-The *owner* (the server's graph store) unlinks all segments in
-:meth:`SharedEdgeStore.close` — stores are context managers, and close is
-idempotent.  Workers attach per task via :func:`open_edges` /
-:func:`open_graph`; attachment lifetime is reference-counted through the
-numpy base chain, so a worker's mapping disappears when its last view
-dies — normally at the end of the task, or exactly as late as a result
-that aliases the graph requires.  If the owner dies without closing, the
-interpreter's resource tracker reclaims shm segments and the OS reclaims
-temp files — a worker crash therefore cannot leak segments past the
-owning process.
+The *owner* unlinks its segments in :meth:`SharedEdgeStore.close` —
+stores are context managers, and close is idempotent; an executor closes
+its pin when a barrier over another graph replaces it and on ``close()``.
+Workers attach via :func:`open_edges` / :func:`open_graph`; attachment
+lifetime is reference-counted through the numpy base chain, so a worker's
+mapping disappears when its last view dies — at the end of a task, when
+:meth:`ResidentGraph.open` moves on to the next graph, or exactly as late
+as a result that aliases the graph requires.  If the owner dies without
+closing, the interpreter's resource tracker reclaims shm segments and the
+OS reclaims temp files — a worker crash therefore cannot leak segments
+past the owning process.
 
 The segment backend follows ``$REPRO_SHM_BACKEND`` (``shm`` where
 available, else ``mmap``).
@@ -34,16 +35,23 @@ available, else ``mmap``).
 
 from __future__ import annotations
 
+import itertools
 import os
 import tempfile
 import threading
+import weakref
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.graph.bipartite import BipartiteGraph
+from repro.graph.capacity import (
+    CapacitatedBipartiteGraph,
+    WeightedBipartiteGraph,
+)
 from repro.graph.edgelist import Graph
+from repro.graph.weights import WeightedGraph
 
 try:  # pragma: no cover - always present on CPython >= 3.8
     from multiprocessing import shared_memory as _shared_memory
@@ -54,6 +62,8 @@ __all__ = [
     "SHM_BACKEND_ENV",
     "AttachedEdges",
     "EdgeHandle",
+    "ResidentGraph",
+    "ResidentPin",
     "SharedEdgeStore",
     "SharedStoreClosedError",
     "open_edges",
@@ -98,8 +108,11 @@ class EdgeHandle:
     This is what crosses the process boundary instead of the array: a few
     scalars, regardless of how many edges the array holds.  ``sides``
     carries the bipartition (``n_left``, ``n_right``) when the edges came
-    from a :class:`~repro.graph.bipartite.BipartiteGraph`, so
-    :func:`open_graph` reconstructs the right graph type.
+    from a :class:`~repro.graph.bipartite.BipartiteGraph`, and the two
+    offsets locate a weighted graph's per-edge weights (float64, one per
+    row) and a capacitated graph's per-left-vertex capacities (int64) in
+    the same segment, so :func:`open_graph` reconstructs the right graph
+    type.
     """
 
     backend: str                       # "shm" | "mmap"
@@ -108,15 +121,18 @@ class EdgeHandle:
     n_rows: int                        # number of edges at that offset
     n_vertices: int = 0                # vertex count for graph rebuilding
     sides: Optional[Tuple[int, int]] = None  # (n_left, n_right) if bipartite
+    weights_offset: Optional[int] = None     # float64[n_rows], if weighted
+    capacities_offset: Optional[int] = None  # int64[n_left], if capacitated
 
     @property
     def nbytes(self) -> int:
-        """Payload size in bytes (``16 * n_rows``)."""
+        """Edge payload size in bytes (``16 * n_rows``)."""
         return self.n_rows * _ROW_BYTES
 
 
 class AttachedEdges:
-    """A worker-side attachment: a read-only mapped view of one edge array.
+    """A worker-side attachment: read-only mapped views of one graph's
+    arrays (the edges, plus the weights and capacities when stored).
 
     Lifetime is reference-counted, not explicitly closed: the mapping is
     owned by the numpy base chain (the ``mmap`` object under ``array``),
@@ -128,48 +144,77 @@ class AttachedEdges:
     segfault the worker.
     """
 
-    def __init__(self, array: np.ndarray) -> None:
+    def __init__(self, array: np.ndarray,
+                 weights: Optional[np.ndarray] = None,
+                 capacities: Optional[np.ndarray] = None) -> None:
         self.array: Optional[np.ndarray] = array
+        self.weights = weights
+        self.capacities = capacities
 
     def graph(self, handle: EdgeHandle) -> Graph:
-        """Reconstruct the edges as a read-only graph view (no copy)."""
+        """Reconstruct the stored graph as a read-only view (no copy)."""
         assert self.array is not None, "attachment already released"
-        if handle.sides is not None:
-            n_left, n_right = handle.sides
-            return BipartiteGraph(n_left, n_right, self.array, validated=True)
-        return Graph.from_canonical_edges(handle.n_vertices, self.array)
+        edges, weights = self.array, self.weights
+        if handle.sides is None:
+            if weights is not None:
+                return WeightedGraph(handle.n_vertices, edges, weights,
+                                     validated=True)
+            return Graph.from_canonical_edges(handle.n_vertices, edges)
+        n_left, n_right = handle.sides
+        if self.capacities is not None:
+            return CapacitatedBipartiteGraph(n_left, n_right, edges, weights,
+                                             self.capacities, validated=True)
+        if weights is not None:
+            return WeightedBipartiteGraph(n_left, n_right, edges, weights,
+                                          validated=True)
+        return BipartiteGraph(n_left, n_right, edges, validated=True)
 
     def release(self) -> None:
-        """Drop this attachment's reference to the mapping.
+        """Drop this attachment's references to the mapping.
 
         The segment is unmapped as soon as no other array references it;
-        results that alias the array keep it alive exactly as long as
+        results that alias the arrays keep it alive exactly as long as
         they need it.
         """
-        self.array = None
+        self.array = self.weights = self.capacities = None
 
 
 def open_edges(handle: EdgeHandle) -> AttachedEdges:
-    """Attach to a handle's segment and map its edge array (read-only)."""
-    if handle.n_rows == 0:
-        empty = np.zeros((0, 2), dtype=_EDGE_DTYPE)
-        empty.setflags(write=False)
-        return AttachedEdges(empty)
+    """Attach to a handle's segment and map its arrays (read-only)."""
+    mapping = _map_segment(handle) if handle.name else None
+
+    def view(dtype: type, shape: Tuple[int, ...], offset: int) -> np.ndarray:
+        if mapping is None or 0 in shape:
+            arr = np.zeros(shape, dtype=dtype)
+        else:
+            arr = np.ndarray(shape, dtype=dtype, buffer=mapping,
+                             offset=offset)
+        arr.setflags(write=False)
+        return arr
+
+    n = handle.n_rows
+    weights = capacities = None
+    if handle.weights_offset is not None:
+        weights = view(np.float64, (n,), handle.weights_offset)
+    if handle.capacities_offset is not None:
+        capacities = view(np.int64, (handle.sides[0],),
+                          handle.capacities_offset)
+    return AttachedEdges(view(_EDGE_DTYPE, (n, 2), handle.offset),
+                         weights, capacities)
+
+
+def _map_segment(handle: EdgeHandle) -> Any:
+    """A read-only-by-convention buffer over the handle's whole segment."""
     if handle.backend == "shm":
         if _shared_memory is None:  # pragma: no cover - exotic platforms
             raise RuntimeError("shared_memory unavailable; cannot attach")
         seg = _attach_untracked(handle.name)
-        # Build the view directly over the mmap object so numpy's base ref
-        # keeps the mapping alive, then neuter the SharedMemory wrapper:
-        # its close()/__del__ would munmap under the view (numpy keeps a
+        # Views are built directly over the mmap object so numpy's base ref
+        # keeps the mapping alive; the SharedMemory wrapper is neutered:
+        # its close()/__del__ would munmap under the views (numpy keeps a
         # raw pointer, not a tracked buffer export).  The duplicate fd can
         # go immediately — a POSIX mapping outlives its descriptor.
         mapping = seg._mmap
-        arr = np.ndarray(
-            (handle.n_rows, 2), dtype=_EDGE_DTYPE,
-            buffer=mapping, offset=handle.offset,
-        )
-        arr.setflags(write=False)
         try:
             seg._buf.release()
         except (AttributeError, BufferError):  # pragma: no cover
@@ -183,13 +228,9 @@ def open_edges(handle: EdgeHandle) -> AttachedEdges:
             except OSError:  # pragma: no cover - already closed
                 pass
             seg._fd = -1
-        return AttachedEdges(arr)
+        return mapping
     if handle.backend == "mmap":
-        arr = np.memmap(
-            handle.name, dtype=_EDGE_DTYPE, mode="r",
-            offset=handle.offset, shape=(handle.n_rows, 2),
-        )
-        return AttachedEdges(arr)
+        return np.memmap(handle.name, dtype=np.uint8, mode="r")
     raise ValueError(f"unknown shared-store backend {handle.backend!r}")
 
 
@@ -239,6 +280,56 @@ def open_graph(handle: EdgeHandle) -> Tuple[Graph, AttachedEdges]:
     """Attach to a handle and reconstruct its read-only graph view."""
     attachment = open_edges(handle)
     return attachment.graph(handle), attachment
+
+
+# --------------------------------------------------------------------- #
+# the resident graph of an executor
+# --------------------------------------------------------------------- #
+_PIN_SERIAL = itertools.count()
+
+
+@dataclass(frozen=True)
+class ResidentGraph:
+    """A machine task's reference to the graph its executor keeps resident.
+
+    ``token`` is unique per pin within the owning process, so a worker can
+    never mistake its attachment for a later graph whose segment happens
+    to reuse a name.
+    """
+
+    token: Tuple[int, int]
+    handle: EdgeHandle
+
+    def open(self) -> Graph:
+        """The graph, attached once per worker: the most recent one is
+        remembered, and attaching another graph drops it."""
+        recent = _OPENED[0]
+        if recent is None or recent[0] != self.token:
+            graph, _ = open_graph(self.handle)
+            recent = _OPENED[0] = (self.token, graph)
+        return recent[1]
+
+
+#: ``(token, graph)`` of the last :class:`ResidentGraph` this process opened.
+_OPENED: List[Optional[Tuple[Tuple[int, int], Graph]]] = [None]
+
+
+class ResidentPin:
+    """The owner side of a :class:`ResidentGraph`: one graph in its own
+    segment.  Holds the graph, so identity checks against it are safe.
+    The segment is unlinked by :meth:`close`, or when the pin is collected.
+    """
+
+    def __init__(self, graph: Graph) -> None:
+        self.graph = graph
+        store = SharedEdgeStore()
+        self.ref = ResidentGraph((os.getpid(), next(_PIN_SERIAL)),
+                                 store.put_graph(graph))
+        self._finalizer = weakref.finalize(self, store.close)
+
+    def close(self) -> None:
+        """Unlink the segment (workers' mappings stay valid until dropped)."""
+        self._finalizer()
 
 
 # --------------------------------------------------------------------- #
@@ -330,9 +421,34 @@ class SharedEdgeStore:
         return self.put_arrays([edges], n_vertices, sides)[0]
 
     def put_graph(self, graph: Graph) -> EdgeHandle:
-        """Share one graph's canonical edge array, with its metadata."""
-        return self.put_edges(graph.edges, graph.n_vertices,
-                              self._graph_sides(graph))
+        """Share one graph in one segment: its canonical edge array, the
+        per-edge weights of the weighted types and the capacities of a
+        :class:`~repro.graph.capacity.CapacitatedBipartiteGraph`, with the
+        metadata :func:`open_graph` needs to rebuild the same type."""
+        self._ensure_open()
+        edges = self._as_edge_array(graph.edges)
+        parts = [edges]
+        weighted = isinstance(graph, (WeightedGraph, WeightedBipartiteGraph))
+        if weighted:
+            parts.append(np.ascontiguousarray(graph.weights, np.float64))
+        if isinstance(graph, CapacitatedBipartiteGraph):
+            parts.append(np.ascontiguousarray(graph.capacities, np.int64))
+        offsets = np.cumsum([0] + [p.nbytes for p in parts]).tolist()
+        name = ""
+        if offsets[-1]:
+            name, buf = self._new_segment(offsets[-1])
+            raw = np.ndarray((offsets[-1],), dtype=np.uint8, buffer=buf)
+            for part, at in zip(parts, offsets):
+                raw[at:at + part.nbytes] = part.reshape(-1).view(np.uint8)
+            if self.backend == "mmap":
+                buf.flush()
+        return EdgeHandle(
+            self.backend, name, 0, edges.shape[0], graph.n_vertices,
+            self._graph_sides(graph),
+            weights_offset=offsets[1] if weighted else None,
+            capacities_offset=(offsets[-2] if isinstance(
+                graph, CapacitatedBipartiteGraph) else None),
+        )
 
     # ------------------------------------------------------------------ #
     def close(self) -> None:

@@ -1,7 +1,7 @@
 """The substrate performance harness behind ``repro bench``.
 
 Every claim the executor substrate makes — persistent pools beat per-call
-pools, the remote piece cache ships each piece once per worker — is
+pools, the remote content cache ships each graph once per worker — is
 measured here, on the same scenario sizes the experiment suite uses (E1's
 small grids, E8's MapReduce workload, E21's parallel-scaling size), and
 written to a structured ``BENCH_substrate.json`` artifact that CI uploads
@@ -41,7 +41,7 @@ The sections:
     spawn paid untimed, the bit-identical-to-serial flag, and the
     :class:`~repro.dist.remote.RemotePieceCache` counters — which let the
     artifact *prove* the serialize-once/fetch-and-pin claim (stored bytes
-    constant across barriers, shipped bytes bounded by pieces × workers)
+    constant across barriers, shipped bytes bounded by graphs × workers)
     rather than assert it in prose.
 
 Wall-clock numbers describe the machine the bench ran on; only the
@@ -213,7 +213,7 @@ def _probe_summarize(piece, machine_index, rng, public=None):
 
     edges = piece.edges
     # One full pass over the data, echoed in the reply so it cannot be
-    # skipped: the pickled piece must actually deliver every byte.
+    # skipped: the cut piece must actually deliver every byte.
     checksum = int(edges.sum()) % max(piece.n_vertices, 1) if edges.size else 0
     probe = np.array([[0, checksum]], dtype=np.int64)
     return Message(sender=machine_index, edges=probe)
@@ -233,8 +233,8 @@ def _run_remote_exec(
 
     The fleet (listener + two local ``repro worker`` subprocesses) is
     spawned and fed one untimed warmup barrier — which is also where the
-    piece cache serializes each piece once and the workers fetch-and-pin
-    them — so the timed rounds measure the steady state a sweep actually
+    content cache serializes the graph once and the workers fetch-and-pin
+    it — so the timed rounds measure the steady state a sweep actually
     runs in: digest-only task payloads over a warm socket fleet.
     """
     from repro.dist.coordinator import run_simultaneous

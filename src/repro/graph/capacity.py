@@ -110,17 +110,10 @@ class WeightedBipartiteGraph(BipartiteGraph):
 
     def matching_weight(self, matching_edges: np.ndarray) -> float:
         """Total weight of the given (sub)set of this graph's edges."""
-        from repro.utils.arrays import edge_keys
-
-        if np.asarray(matching_edges).size == 0:
-            return 0.0
-        keys = edge_keys(matching_edges, max(self.n_vertices, 1))
-        idx = np.searchsorted(self.edge_key_array, keys)
-        if (idx >= self.n_edges).any() or (
-            self.edge_key_array[np.minimum(idx, self.n_edges - 1)] != keys
-        ).any():
+        rows = self.edge_rows(matching_edges)
+        if (rows < 0).any():
             raise ValueError("matching contains edges not present in the graph")
-        return float(self._weights[idx].sum())
+        return float(self._weights[rows].sum())
 
     # ------------------------------------------------------------------ #
     def as_bipartite(self) -> BipartiteGraph:

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from repro.utils.arrays import dedupe_edges, edge_keys, unique_vertices
+from repro.utils.arrays import edge_keys, sorted_unique_edges, unique_vertices
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for typing only
     from repro.graph.csr import CSRAdjacency
@@ -67,10 +67,7 @@ class Graph:
                     f"edge endpoints must lie in [0, {self._n}), "
                     f"got range [{arr.min()}, {arr.max()}]"
                 )
-            arr = dedupe_edges(arr, max(self._n, 1))
-            if arr.shape[0] > 1:
-                keys = arr[:, 0] * np.int64(max(self._n, 1)) + arr[:, 1]
-                arr = arr[np.argsort(keys, kind="stable")]
+            arr = sorted_unique_edges(arr, max(self._n, 1))
         arr = np.ascontiguousarray(arr)
         arr.setflags(write=False)
         self._edges = arr
@@ -154,6 +151,20 @@ class Graph:
         )
         keys.setflags(write=False)
         return keys
+
+    def edge_rows(self, edges: np.ndarray) -> np.ndarray:
+        """Row of each given edge (either orientation) in :attr:`edges`,
+        or ``-1`` where it is not an edge.  Endpoints must lie in
+        ``[0, n_vertices)``.  One binary search into the sorted
+        :attr:`edge_key_array` per edge."""
+        keys = edge_keys(np.asarray(edges, dtype=np.int64).reshape(-1, 2),
+                         max(self._n, 1))
+        if self.n_edges == 0:
+            return np.full(keys.shape[0], -1, dtype=np.int64)
+        rows = np.minimum(np.searchsorted(self.edge_key_array, keys),
+                          self.n_edges - 1)
+        rows[self.edge_key_array[rows] != keys] = -1
+        return rows
 
     @cached_property
     def non_isolated_vertices(self) -> np.ndarray:

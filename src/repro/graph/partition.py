@@ -10,6 +10,7 @@ to Õ(n) summaries.
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -21,6 +22,8 @@ from repro.utils.rng import RandomState, as_generator
 
 __all__ = [
     "PartitionedGraph",
+    "RowsRecipe",
+    "SeededRecipe",
     "VertexPartitionedGraph",
     "random_k_partition",
     "random_vertex_partition",
@@ -29,84 +32,245 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class PartitionedGraph:
     """A graph together with a k-way partition of its edge set.
 
     ``assignment[i]`` is the machine (in ``0..k-1``) that received edge ``i``
     of ``graph.edges``.  Pieces are built on demand as same-type subgraphs
     on the full vertex set, matching the paper's model where every machine
-    knows the vertex set ``V`` but only its own edges.  The first
-    :meth:`piece` call groups the edge rows by machine in one stable pass
-    and keeps that grouping for later calls; it is left out of pickles.
+    knows the vertex set ``V`` but only its own edges.  The machine ids are
+    kept in the narrowest integer type holding ``k - 1``, so cutting a
+    piece is one byte-wide comparison and the rows stay ascending.
+
+    A random partition is kept as its *draw* — the seed, or the generator
+    state, that the assignment comes from — so it pickles in O(1) bytes in
+    the edge count: ``(graph, k, draw)``, never the assignment.
+    :meth:`recipe` hands each machine the same draw, and a machine holding
+    the graph cuts its own piece from it.
     """
 
-    graph: Graph
-    k: int
-    assignment: np.ndarray  # (m,) int64 machine ids
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
-        a = np.asarray(self.assignment, dtype=np.int64)
-        if a.shape != (self.graph.n_edges,):
+    def __init__(
+        self,
+        graph: Graph,
+        k: int,
+        assignment: np.ndarray | None = None,
+        *,
+        draw: "_Draw | None" = None,
+    ) -> None:
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
+        self.graph = graph
+        self.k = k
+        self._draw = draw
+        if assignment is None:
+            if draw is None:
+                raise ValueError("a partition needs an assignment or a draw")
+            return
+        a = np.asarray(assignment, dtype=np.int64)
+        if a.shape != (graph.n_edges,):
             raise ValueError(
-                f"assignment must have shape ({self.graph.n_edges},), got {a.shape}"
+                f"assignment must have shape ({graph.n_edges},), got {a.shape}"
             )
-        if a.size and (a.min() < 0 or a.max() >= self.k):
-            raise ValueError(f"machine ids must lie in [0, {self.k})")
-        object.__setattr__(self, "assignment", a)
+        if a.size and (a.min() < 0 or a.max() >= k):
+            raise ValueError(f"machine ids must lie in [0, {k})")
+        self.__dict__["assignment"] = a
+
+    @cached_property
+    def assignment(self) -> np.ndarray:
+        """``(m,)`` int64 machine ids (drawn on first use for a random
+        partition)."""
+        return self._keys.astype(np.int64)
+
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        """The machine ids in the narrowest type holding ``k - 1``."""
+        if "assignment" not in self.__dict__:
+            return self._draw.keys(self.graph.n_edges, self.k)
+        return self.assignment.astype(np.min_scalar_type(self.k - 1))
+
+    def _rows(self, i: int) -> np.ndarray:
+        if not 0 <= i < self.k:
+            raise IndexError(f"machine index {i} out of range [0, {self.k})")
+        return np.flatnonzero(self._keys == i)
 
     def piece(self, i: int) -> Graph:
         """The subgraph ``G^(i)`` given to machine ``i``, equal to
         ``graph.subgraph_from_mask(assignment == i)``."""
-        if not 0 <= i < self.k:
-            raise IndexError(f"machine index {i} out of range [0, {self.k})")
-        order, bounds = self._buckets
-        return self.graph.subgraph_from_indices(order[bounds[i]:bounds[i + 1]])
+        return self.graph.subgraph_from_indices(self._rows(i))
 
     def pieces(self) -> Iterator[Graph]:
         """Iterate over all ``k`` machine subgraphs."""
         for i in range(self.k):
             yield self.piece(i)
 
-    @cached_property
-    def _buckets(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(order, bounds)``: edge rows grouped by machine, machine ``i``
-        owning ``order[bounds[i]:bounds[i + 1]]``.
+    def recipe(self, i: int) -> "SeededRecipe | RowsRecipe":
+        """What machine ``i`` needs, besides the graph, to cut its piece:
+        the draw of a random partition (O(1) bytes), or the piece's edge
+        rows for an explicit assignment (8 bytes per piece edge), built
+        once per machine so later barriers hand out the same object."""
+        if self._draw is not None and 0 <= i < self.k:
+            return SeededRecipe(self.k, self._draw, self)
+        return _rows_recipe(self._row_recipes, i, self._rows)
 
-        numpy radix-sorts keys of 16 bits or fewer, so the assignment is
-        cast to the narrowest type holding ``k - 1`` before the argsort.
-        The sort is stable, so each machine's rows stay ascending and its
-        piece keeps the canonical edge order.
-        """
-        keys = self.assignment.astype(np.min_scalar_type(self.k - 1))
-        order = np.argsort(keys, kind="stable")
-        return order, np.concatenate([[0], np.cumsum(self.piece_sizes())])
+    @cached_property
+    def _row_recipes(self) -> dict:
+        return {}
 
     def __getstate__(self) -> dict:
-        # The bucket order (8 bytes per edge) is rebuilt on demand, not pickled.
-        return {f: v for f, v in self.__dict__.items() if f != "_buckets"}
+        # A draw rebuilds the machine ids; the narrow copy is always rebuilt.
+        state = {"graph": self.graph, "k": self.k, "_draw": self._draw}
+        if self._draw is None:
+            state["assignment"] = self.assignment
+        return state
 
     def piece_sizes(self) -> np.ndarray:
         """Number of edges per machine."""
-        return np.bincount(self.assignment, minlength=self.k).astype(np.int64)
+        return np.bincount(self._keys, minlength=self.k).astype(np.int64)
 
     def union(self) -> Graph:
         """Reassemble the full graph from the pieces (identity check)."""
         return self.graph
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        kind = "random" if self._draw is not None else "explicit"
+        return f"PartitionedGraph({self.graph!r}, k={self.k}, {kind})"
+
+
+# --------------------------------------------------------------------- #
+# Recipes: how a machine that holds the graph cuts its own piece
+# --------------------------------------------------------------------- #
+#: Machine ids drawn per chunk; the int64 draw never exceeds one chunk.
+_DRAW_CHUNK = 1 << 16
+
+
+class _Draw:
+    """The source of a random assignment: a ``SeedSequence``, or the state
+    a bit generator had just before it drew.  Pickling carries only the
+    seed material, and draws with equal ``key`` draw equal assignments."""
+
+    __slots__ = ("seed", "key")
+
+    def __init__(self, seed: "np.random.SeedSequence | dict") -> None:
+        self.seed = seed
+        self.key = pickle.dumps(seed)
+
+    def keys(self, m: int, k: int) -> np.ndarray:
+        """The ``m`` machine ids ``integers(0, k, size=m, dtype=int64)``
+        draws, stored in the narrowest type holding ``k - 1``.  They are
+        drawn in chunks: below 2**32 numpy draws each bounded int64 from
+        the bit generator alone, so the chunks continue one stream."""
+        if isinstance(self.seed, np.random.SeedSequence):
+            gen = np.random.default_rng(self.seed)
+        else:
+            bit_generator = getattr(np.random, self.seed["bit_generator"])()
+            bit_generator.state = self.seed
+            gen = np.random.Generator(bit_generator)
+        out = np.empty(m, dtype=np.min_scalar_type(k - 1))
+        for start in range(0, m, _DRAW_CHUNK):
+            stop = min(start + _DRAW_CHUNK, m)
+            out[start:stop] = gen.integers(0, k, size=stop - start,
+                                           dtype=np.int64)
+        return out
+
+    def __getstate__(self) -> object:
+        return self.seed
+
+    def __setstate__(self, seed: object) -> None:
+        self.__init__(seed)  # type: ignore[misc]
+
+
+class SeededRecipe:
+    """Machine ``i``'s recipe for a random partition: ``k`` and the draw.
+
+    In the process that built the partition the recipe keeps a link to it
+    and cuts from its machine ids; the link is not pickled, so a worker
+    draws the ids itself, once per partition and graph (the most recent
+    one is remembered), and every later machine of that partition reuses
+    them.
+    """
+
+    __slots__ = ("k", "draw", "_partition")
+
+    def __init__(self, k: int, draw: _Draw,
+                 partition: PartitionedGraph | None = None) -> None:
+        self.k = k
+        self.draw = draw
+        self._partition = partition
+
+    def piece(self, graph: Graph, i: int) -> Graph:
+        part = self._partition
+        if part is None or part.graph is not graph:
+            part = _recent_partition(graph, self.k, self.draw)
+        return part.piece(i)
+
+    def __getstate__(self) -> tuple:
+        return self.k, self.draw
+
+    def __setstate__(self, state: tuple) -> None:
+        self.k, self.draw = state
+        self._partition = None
+
+
+#: The last partition a worker rebuilt from a recipe (it holds its graph,
+#: so an identity match can never be a different, recycled object).
+_RECENT: list = [None]
+
+
+def _recent_partition(graph: Graph, k: int, draw: _Draw) -> PartitionedGraph:
+    part = _RECENT[0]
+    if part is None or part.graph is not graph or part.k != k \
+            or part._draw.key != draw.key:
+        part = PartitionedGraph(graph, k, draw=draw)
+        _RECENT[0] = part
+    return part
+
+
+@dataclass(frozen=True, eq=False)
+class RowsRecipe:
+    """Machine ``i``'s recipe for an explicit partition: its piece's
+    ascending edge rows, read-only.  A partition builds each machine's
+    recipe once and hands out the same object, so the remote content
+    cache digests it once, not once per barrier."""
+
+    rows: np.ndarray
+
+    def piece(self, graph: Graph, i: int) -> Graph:
+        del i
+        return graph.subgraph_from_indices(self.rows)
+
+
+def _rows_recipe(built: dict, i: int, rows_of) -> RowsRecipe:
+    """Machine ``i``'s :class:`RowsRecipe` from ``built``, made on first
+    use from ``rows_of(i)``."""
+    recipe = built.get(i)
+    if recipe is None:
+        rows = rows_of(i)
+        rows.setflags(write=False)
+        recipe = built[i] = RowsRecipe(rows)
+    return recipe
 
 
 def random_k_partition(
     graph: Graph, k: int, rng: RandomState = None
 ) -> PartitionedGraph:
     """The paper's random k-partitioning: each edge goes to a uniformly
-    random machine, independently."""
+    random machine, independently.
+
+    Given a seed (``None``, an int or a ``SeedSequence``) nothing is drawn
+    until a piece or the assignment is asked for.  Given a live
+    ``Generator``, the assignment is drawn at once, so the caller's stream
+    advances exactly as by ``rng.integers(0, k, size=m)``; the partition
+    keeps the generator's prior state as its draw.
+    """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    gen = as_generator(rng)
-    assignment = gen.integers(0, k, size=graph.n_edges, dtype=np.int64)
-    return PartitionedGraph(graph=graph, k=k, assignment=assignment)
+    if isinstance(rng, np.random.Generator):
+        draw = _Draw(rng.bit_generator.state)
+        assignment = rng.integers(0, k, size=graph.n_edges, dtype=np.int64)
+        return PartitionedGraph(graph, k, assignment, draw=draw)
+    if not isinstance(rng, np.random.SeedSequence):
+        rng = np.random.SeedSequence(rng)
+    return PartitionedGraph(graph, k, draw=_Draw(rng))
 
 
 def partition_by_assignment(
@@ -177,14 +341,23 @@ class VertexPartitionedGraph:
     def piece(self, i: int) -> Graph:
         """All edges incident on machine ``i``'s vertices (duplicated
         across machines for cross-machine edges, as the model specifies)."""
+        return self.recipe(i).piece(self.graph, i)
+
+    def recipe(self, i: int) -> RowsRecipe:
+        """Machine ``i``'s piece as edge rows (see
+        :meth:`PartitionedGraph.recipe`)."""
+        return _rows_recipe(self._row_recipes, i, self._rows)
+
+    @cached_property
+    def _row_recipes(self) -> dict:
+        return {}
+
+    def _rows(self, i: int) -> np.ndarray:
         if not 0 <= i < self.k:
             raise IndexError(f"machine index {i} out of range [0, {self.k})")
         e = self.graph.edges
-        if e.size == 0:
-            return self.graph.subgraph_from_mask(np.zeros(0, dtype=bool))
         owned = self.vertex_assignment == i
-        mask = owned[e[:, 0]] | owned[e[:, 1]]
-        return self.graph.subgraph_from_mask(mask)
+        return np.flatnonzero(owned[e[:, 0]] | owned[e[:, 1]])
 
     def pieces(self) -> Iterator[Graph]:
         for i in range(self.k):

@@ -17,7 +17,6 @@ __all__ = [
     "check_graph",
     "check_bipartite",
     "check_partition",
-    "edges_subset_of",
 ]
 
 
@@ -65,17 +64,3 @@ def check_partition(p: PartitionedGraph) -> tuple[bool, str]:
     if merged != Graph(p.graph.n_vertices, p.graph.edges, validated=True):
         return False, "union of pieces differs from the original graph"
     return True, "ok"
-
-
-def edges_subset_of(candidate: np.ndarray, g: Graph) -> tuple[bool, str]:
-    """Check every row of ``candidate`` is an edge of ``g``."""
-    from repro.utils.arrays import isin_mask
-
-    cand = np.asarray(candidate, dtype=np.int64)
-    if cand.size == 0:
-        return True, "ok"
-    mask = isin_mask(cand, g.edges, g.n_vertices)
-    if mask.all():
-        return True, "ok"
-    bad = cand[~mask][0]
-    return False, f"edge ({bad[0]}, {bad[1]}) not present in the graph"

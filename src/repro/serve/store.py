@@ -13,9 +13,9 @@ carry the graph object (every pool but a process pool) the store builds
 ``random_k_partition`` once per ``(graph, k, seed)`` and hands the same
 :class:`~repro.graph.partition.PartitionedGraph` to every request that
 repeats the triple — which is exactly what a micro-batch of identical
-requests does.  The partition rng is re-derived from
-``RunContext(seed, k).generators(2)[0]`` (the stream the adapter itself
-would draw), so a cached view is bit-identical to the partition an
+requests does.  The partition's seed sequence is re-derived from
+``RunContext(seed, k).seed_sequences(2)[0]`` (the stream the adapter
+itself would draw), so a cached view is bit-identical to the partition an
 uncached solve would have built.  A view is a plain in-memory object, so
 the cache needs no leases: evicting one drops only the cache's
 reference, never a running solve's.
@@ -205,7 +205,7 @@ class GraphStore:
         first use.
 
         The partition is derived exactly as the coreset adapters derive it
-        — stream 0 of ``RunContext(seed, k).generators(2)`` feeding
+        — stream 0 of ``RunContext(seed, k).seed_sequences(2)`` feeding
         ``random_k_partition`` — so handing the view into the solver's
         ``partition=`` seat is bit-identical to letting it partition
         itself (``tests/test_serve_api.py`` proves this end to end).
@@ -221,8 +221,8 @@ class GraphStore:
         # unrelated requests.
         from repro.solve.context import RunContext
 
-        rng = RunContext(seed=seed, k=k).generators(2)[0]
-        view = random_k_partition(pg.graph, k, rng)
+        sequence = RunContext(seed=seed, k=k).seed_sequences(2)[0]
+        view = random_k_partition(pg.graph, k, sequence)
         with self._lock:
             winner = pg.views.get(key)
             if winner is not None:  # lost a build race; use the winner's

@@ -54,18 +54,22 @@ def _run_protocol(protocol, graph, ctx: RunContext, k: int,
     (e.g. the cached partition view the serving layer reuses across
     requests) leaves ``run_rng`` untouched:
     supplying the partition ``random_k_partition`` *would* have built is
-    bit-identical to letting this function build it.
+    bit-identical to letting this function build it.  The partition gets
+    the ``SeedSequence`` under ``partition_rng``
+    (:meth:`~repro.solve.context.RunContext.seed_sequences`), which draws
+    the same assignment but lets each machine draw it for itself.
     """
     from repro.dist.coordinator import run_simultaneous
     from repro.graph.partition import random_k_partition
 
-    partition_rng, run_rng = ctx.generators(2)
+    partition_seq, run_seq = ctx.seed_sequences(2)
+    run_rng = np.random.default_rng(run_seq)
     if partition is None:
-        partition = random_k_partition(graph, k, partition_rng)
+        partition = random_k_partition(graph, k, partition_seq)
     else:
-        if not (hasattr(partition, "piece") and hasattr(partition, "k")):
+        if not all(hasattr(partition, a) for a in ("graph", "k", "recipe")):
             raise ValueError(
-                f"partition= must be a partitioned graph (piece()/k), "
+                f"partition= must be a partitioned graph (graph/k/recipe()), "
                 f"got {type(partition).__name__}"
             )
         if partition.k != k:

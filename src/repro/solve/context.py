@@ -33,7 +33,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from repro.dist.executor import Executor, ExecutorSpec, resolve_executor
-from repro.utils.rng import RandomState, as_generator, spawn_generators
+from repro.utils.rng import RandomState, as_generator, spawn_seeds
 
 __all__ = ["RunContext"]
 
@@ -95,20 +95,29 @@ class RunContext:
         its current state.  Two solves with the same context therefore see
         the same streams — the facade's determinism contract.
         """
+        return [np.random.default_rng(s) for s in self.seed_sequences(n)]
+
+    def seed_sequences(self, n: int) -> list[np.random.SeedSequence]:
+        """The ``SeedSequence`` under each of :meth:`generators`' streams.
+
+        A consumer that draws in another process takes the sequence
+        instead of the generator: ``default_rng`` of it is the same
+        stream (the coreset adapters hand the partition its sequence, so
+        every machine can draw the assignment itself).
+        """
         seed = self.seed
         if isinstance(seed, np.random.SeedSequence):
             # A fresh sequence with the same identity spawns the same
             # children every time, leaving the caller's object untouched.
-            root = np.random.SeedSequence(
+            return np.random.SeedSequence(
                 entropy=seed.entropy, spawn_key=seed.spawn_key,
                 pool_size=seed.pool_size,
-            )
-            return [np.random.default_rng(s) for s in root.spawn(n)]
+            ).spawn(n)
         if isinstance(seed, np.random.Generator):
             import copy
 
             seed = copy.deepcopy(seed)
-        return spawn_generators(seed, n)
+        return spawn_seeds(seed, n)
 
     # ------------------------------------------------------------------ #
     # machine count

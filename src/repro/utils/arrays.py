@@ -2,7 +2,7 @@
 
 These are the kind of three-line numpy idioms that would otherwise be
 re-implemented (subtly differently) in several modules: canonical edge
-orientation, edge deduplication via structured views, membership masks.
+orientation, edge deduplication by sorted scalar keys, membership masks.
 """
 
 from __future__ import annotations
@@ -11,9 +11,9 @@ import numpy as np
 
 __all__ = [
     "canonical_edges",
-    "dedupe_edges",
     "edge_keys",
     "isin_mask",
+    "sorted_unique_edges",
     "unique_vertices",
 ]
 
@@ -44,18 +44,34 @@ def edge_keys(edges: np.ndarray, n_vertices: int) -> np.ndarray:
     return ce[:, 0] * np.int64(n_vertices) + ce[:, 1]
 
 
-def dedupe_edges(edges: np.ndarray, n_vertices: int) -> np.ndarray:
-    """Remove duplicate undirected edges (and self-loops), sorted by key."""
+def sorted_unique_edges(edges: np.ndarray, n_vertices: int) -> np.ndarray:
+    """The storage form of :class:`~repro.graph.edgelist.Graph`: canonical
+    ``u < v`` edges without self-loops or duplicates, ascending by key
+    ``u * n + v``.  Endpoints must lie in ``[0, n_vertices)``.
+
+    Equal keys are equal edges, so only the keys are sorted (in place,
+    skipped when they already strictly ascend) and de-duplicated with an
+    adjacent-difference mask; each edge is read back off its key.
+    """
     edges = np.asarray(edges, dtype=np.int64)
     if edges.size == 0:
         return edges.reshape(0, 2)
-    ce = canonical_edges(edges)
-    ce = ce[ce[:, 0] != ce[:, 1]]  # drop self-loops
-    if ce.shape[0] == 0:
-        return ce
-    keys = ce[:, 0] * np.int64(n_vertices) + ce[:, 1]
-    _, idx = np.unique(keys, return_index=True)
-    return ce[np.sort(idx)]
+    u, v = edges[:, 0], edges[:, 1]
+    keys = np.minimum(u, v)
+    keys *= np.int64(n_vertices)
+    keys += np.maximum(u, v)
+    loops = u == v
+    if loops.any():
+        keys = keys[~loops]
+    if keys.shape[0] > 1 and not (keys[1:] > keys[:-1]).all():
+        keys.sort()
+        first = np.empty(keys.shape[0], dtype=bool)
+        first[0] = True
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        keys = keys[first]
+    out = np.empty((keys.shape[0], 2), dtype=np.int64)
+    np.divmod(keys, np.int64(n_vertices), out=(out[:, 0], out[:, 1]))
+    return out
 
 
 def isin_mask(edges: np.ndarray, other: np.ndarray, n_vertices: int) -> np.ndarray:

@@ -44,20 +44,10 @@ def edge_indices(graph: BipartiteGraph, edges: np.ndarray) -> np.ndarray:
 
     Raises when an edge is not present in the graph.
     """
-    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-    if edges.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
-    n = max(graph.n_vertices, 1)
-    lo = edges.min(axis=1).astype(np.int64)
-    hi = edges.max(axis=1).astype(np.int64)
-    keys = lo * np.int64(n) + hi
-    idx = np.searchsorted(graph.edge_key_array, keys)
-    ok = (idx < graph.n_edges) & (graph.edge_key_array[np.minimum(
-        idx, graph.n_edges - 1
-    )] == keys)
-    if not ok.all():
+    rows = graph.edge_rows(edges)
+    if (rows < 0).any():
         raise ValueError("edge array contains edges not present in the graph")
-    return idx.astype(np.int64)
+    return rows
 
 
 def greedy_b_matching(graph: CapacitatedBipartiteGraph) -> np.ndarray:

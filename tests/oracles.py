@@ -8,8 +8,14 @@ correctness signal:
   O(V·E).  Its matching *size* must equal Hopcroft–Karp's and blossom's
   (the matchings themselves may differ; only the size is canonical).
 * :func:`_baseline_scan` — the one-edge-at-a-time greedy scan.  Its
-  output must equal :func:`repro.matching.maximal._sequential_scan` (and
-  ``greedy_maximal_matching(order="input")``) edge for edge.
+  output must equal :func:`repro.matching.maximal._sequential_scan`, the
+  greedy rounds (:func:`repro.matching.maximal._rounds_then_scan`) and
+  ``greedy_maximal_matching(order="input")`` edge for edge.
+* :func:`_baseline_graph_edges` and :func:`_baseline_is_matching` — the
+  library's earlier edge canonicalization (``np.unique`` with
+  first-occurrence indices, then a second argsort) and matching
+  certificate (``np.isin`` over the whole edge-key array).  The current
+  versions must return identical arrays and verdicts.
 """
 
 from __future__ import annotations
@@ -20,7 +26,12 @@ import numpy as np
 
 from repro.graph.bipartite import BipartiteGraph
 
-__all__ = ["_baseline_scan", "augmenting_path_matching"]
+__all__ = [
+    "_baseline_graph_edges",
+    "_baseline_is_matching",
+    "_baseline_scan",
+    "augmenting_path_matching",
+]
 
 
 def augmenting_path_matching(graph: BipartiteGraph) -> np.ndarray:
@@ -93,3 +104,51 @@ def _baseline_scan(n_vertices: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarra
     return np.stack(
         [np.asarray(out_u, dtype=np.int64),
          np.asarray(out_v, dtype=np.int64)], axis=1)
+
+
+def _baseline_graph_edges(edges: np.ndarray, n_vertices: int) -> np.ndarray:
+    """The earlier ``Graph`` storage form: canonical orientation,
+    self-loops dropped, first occurrences via
+    ``np.unique(return_index=True)`` kept in input order, then a stable
+    argsort by key."""
+    edges = np.asarray(edges, dtype=np.int64)
+    if edges.size == 0:
+        return edges.reshape(0, 2)
+    lo = np.minimum(edges[:, 0], edges[:, 1])
+    hi = np.maximum(edges[:, 0], edges[:, 1])
+    ce = np.stack([lo, hi], axis=1)
+    ce = ce[ce[:, 0] != ce[:, 1]]
+    if ce.shape[0] == 0:
+        return ce
+    keys = ce[:, 0] * np.int64(n_vertices) + ce[:, 1]
+    _, idx = np.unique(keys, return_index=True)
+    arr = ce[np.sort(idx)]
+    if arr.shape[0] > 1:
+        keys = arr[:, 0] * np.int64(n_vertices) + arr[:, 1]
+        arr = arr[np.argsort(keys, kind="stable")]
+    return arr
+
+
+def _baseline_is_matching(graph, matching: np.ndarray) -> bool:
+    """The earlier ``is_matching``: membership by ``np.isin`` of the
+    matched keys against every edge key of the graph."""
+    m = np.asarray(matching, dtype=np.int64)
+    if m.size == 0:
+        return True
+    m = m.reshape(-1, 2)
+    if (m[:, 0] == m[:, 1]).any():
+        return False
+    verts = m.ravel()
+    if verts.min() < 0 or verts.max() >= graph.n_vertices:
+        return False
+    if np.bincount(verts, minlength=graph.n_vertices).max() > 1:
+        return False
+    n = max(graph.n_vertices, 1)
+    if graph.n_edges == 0:
+        return False
+
+    def keys(e):
+        return np.minimum(e[:, 0], e[:, 1]) * np.int64(n) + np.maximum(
+            e[:, 0], e[:, 1])
+
+    return bool(np.isin(keys(m), keys(graph.edges)).all())

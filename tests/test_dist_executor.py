@@ -211,6 +211,167 @@ class TestProtocolDeterminismAcrossBackends:
                 )
 
 
+# --------------------------------------------------------------------- #
+# machines cut their own pieces from a resident graph
+# --------------------------------------------------------------------- #
+def _typed_summarizer(piece, machine_index, rng, public=None):
+    """Echo the piece, with a fingerprint of its type and per-edge data in
+    ``aux_bits``, so a piece rebuilt as the wrong type cannot pass."""
+    import zlib
+
+    blob = type(piece).__name__.encode() + piece.edges.tobytes()
+    for attr in ("weights", "capacities"):
+        if hasattr(piece, attr):
+            blob += getattr(piece, attr).tobytes()
+    return Message(sender=machine_index, edges=piece.edges,
+                   aux_bits=zlib.crc32(blob))
+
+
+def _graph_of(kind):
+    from repro.graph.capacity import (
+        CapacitatedBipartiteGraph,
+        WeightedBipartiteGraph,
+    )
+    from repro.graph.weights import WeightedGraph
+
+    rng = np.random.default_rng(21)
+    if kind == "plain":
+        return gnp(90, 0.06, 3)
+    bip = bipartite_gnp(60, 60, 0.08, 7)
+    if kind == "bipartite":
+        return bip
+    weights = rng.uniform(1.0, 9.0, size=bip.n_edges)
+    if kind == "weighted":
+        return WeightedGraph(bip.n_vertices, bip.edges, weights)
+    if kind == "weighted_bipartite":
+        return WeightedBipartiteGraph(60, 60, bip.edges, weights)
+    return CapacitatedBipartiteGraph(60, 60, bip.edges, weights,
+                                     rng.integers(1, 4, size=60))
+
+
+def _partition_of(kind, graph):
+    from repro.graph.partition import (
+        adversarial_degree_partition,
+        random_vertex_partition,
+    )
+
+    if kind == "random":
+        return random_k_partition(graph, 4, 8)
+    if kind == "explicit":
+        return adversarial_degree_partition(graph, 4)
+    return random_vertex_partition(graph, 4, 8)
+
+
+@pytest.fixture(scope="module")
+def process_executor():
+    with ProcessExecutor(max_workers=2) as ex:
+        yield ex
+
+
+@pytest.fixture(params=["processes", "remote"])
+def pooled_executor(request, process_executor):
+    if request.param == "remote":
+        return request.getfixturevalue("remote_executor")
+    return process_executor
+
+
+class TestResidentGraphTasks:
+    """A machine task names the graph and the partition's recipe; the
+    machine cuts its own piece.  Every backend must cut the same pieces,
+    of the same type, for every partition kind."""
+
+    @pytest.mark.parametrize("partition_kind", ["random", "explicit",
+                                                "vertex"])
+    @pytest.mark.parametrize("graph_kind", [
+        "plain", "bipartite", "weighted", "weighted_bipartite",
+        "capacitated",
+    ])
+    def test_pieces_identical_across_backends(self, pooled_executor,
+                                              graph_kind, partition_kind):
+        from repro.core.protocols import vertex_cover_coreset_protocol
+
+        part = _partition_of(partition_kind, _graph_of(graph_kind))
+        echo = SimultaneousProtocol("typed-echo", _typed_summarizer,
+                                    _union_combine)
+        for proto in (echo, vertex_cover_coreset_protocol(k=4)):
+            a = run_simultaneous(proto, part, 9, executor="serial")
+            b = run_simultaneous(proto, part, 9, executor=pooled_executor)
+            np.testing.assert_array_equal(a.output, b.output)
+            assert a.total_bits == b.total_bits
+            for ma, mb in zip(a.messages, b.messages):
+                np.testing.assert_array_equal(ma.edges, mb.edges)
+                np.testing.assert_array_equal(ma.fixed_vertices,
+                                              mb.fixed_vertices)
+                assert ma.aux_bits == mb.aux_bits
+
+    @pytest.mark.parametrize("graph_kind", ["plain", "bipartite",
+                                            "weighted"])
+    def test_every_coreset_solver_identical_across_backends(
+            self, pooled_executor, graph_kind):
+        from repro.solve import RunContext, solve
+        from repro.solve.registry import SolverCapabilityError, all_solvers
+
+        graph = _graph_of(graph_kind)
+        ran = 0
+        for spec in all_solvers():
+            if spec.model != "coreset":
+                continue
+            for seed in (0, 5):
+                try:
+                    a = solve(graph, spec.name,
+                              RunContext(seed=seed, k=4, executor="serial"))
+                except SolverCapabilityError:
+                    continue
+                b = solve(graph, spec.name,
+                          RunContext(seed=seed, k=4,
+                                     executor=pooled_executor))
+                np.testing.assert_array_equal(a.certificate, b.certificate)
+                assert a.stats.get("total_bits") == b.stats.get("total_bits")
+                ran += 1
+        assert ran >= 12
+
+    def test_random_partition_tasks_do_not_grow_with_m(self):
+        import pickle
+
+        from repro.solve import RunContext, solve
+        from repro.graph.edgelist import Graph
+
+        class Recording(ProcessExecutor):
+            def map(self, fn, tasks):
+                tasks = list(tasks)
+                self.task_bytes = [len(pickle.dumps(t)) for t in tasks]
+                return super().map(fn, tasks)
+
+        rng = np.random.default_rng(3)
+        sizes = {}
+        with Recording(max_workers=2) as ex:
+            for m in (20_000, 200_000):
+                g = Graph(20_000, rng.integers(0, 20_000, size=(m, 2)))
+                solve(g, "vertex_cover.coreset",
+                      RunContext(seed=4, k=8, executor=ex))
+                assert len(ex.task_bytes) == 8
+                sizes[m] = max(ex.task_bytes)
+        # A piece alone would be 16 bytes per edge: 40 kB and 400 kB here.
+        assert sizes[200_000] <= sizes[20_000] + 64
+        assert sizes[200_000] < 4096
+
+    def test_close_leaves_no_dev_shm_entry(self, monkeypatch):
+        if not os.path.isdir("/dev/shm"):
+            pytest.skip("no /dev/shm on this platform")
+        from repro.core.protocols import vertex_cover_coreset_protocol
+
+        monkeypatch.delenv("REPRO_SHM_BACKEND", raising=False)
+
+        before = set(os.listdir("/dev/shm"))
+        with ProcessExecutor(max_workers=2) as ex:
+            for graph_kind in ("bipartite", "capacitated"):
+                part = random_k_partition(_graph_of(graph_kind), 4, 1)
+                run_simultaneous(vertex_cover_coreset_protocol(k=4), part,
+                                 2, executor=ex)
+            assert set(os.listdir("/dev/shm")) - before  # the pinned graph
+        assert set(os.listdir("/dev/shm")) - before == set()
+
+
 def _random_route(i, edges, rng):
     return rng.integers(0, 3, size=edges.shape[0])
 

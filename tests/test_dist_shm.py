@@ -91,6 +91,52 @@ class TestRoundTrip:
         assert clone == g
         assert clone.edges is g.edges  # genuinely zero-copy
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("kind", ["weighted", "weighted_bipartite",
+                                      "capacitated"])
+    def test_weighted_types_round_trip(self, backend, kind):
+        from repro.graph.capacity import (
+            CapacitatedBipartiteGraph,
+            WeightedBipartiteGraph,
+        )
+        from repro.graph.weights import WeightedGraph
+
+        rng = np.random.default_rng(2)
+        bip = bipartite_gnp(30, 40, 0.2, 1)
+        w = rng.uniform(1.0, 5.0, size=bip.n_edges)
+        g = {
+            "weighted": lambda: WeightedGraph(70, bip.edges, w),
+            "weighted_bipartite": lambda: WeightedBipartiteGraph(
+                30, 40, bip.edges, w),
+            "capacitated": lambda: CapacitatedBipartiteGraph(
+                30, 40, bip.edges, w, rng.integers(1, 5, size=30)),
+        }[kind]()
+        with SharedEdgeStore(backend=backend) as store:
+            view, att = open_graph(store.put_graph(g))
+            assert type(view) is type(g)
+            assert view == g
+            np.testing.assert_array_equal(view.weights, g.weights)
+            if kind == "capacitated":
+                np.testing.assert_array_equal(view.capacities, g.capacities)
+            att.release()
+            del view
+
+    def test_resident_graph_opens_once_per_process(self):
+        from repro.dist.shm import ResidentPin
+
+        g = bipartite_gnp(20, 20, 0.3, 4)
+        pin = ResidentPin(g)
+        try:
+            first = pin.ref.open()
+            assert first == g and pin.ref.open() is first
+            other = ResidentPin(g)
+            try:
+                assert other.ref.open() is not first  # a new token
+            finally:
+                other.close()
+        finally:
+            pin.close()
+
     def test_rejects_bad_shapes(self):
         with SharedEdgeStore() as store:
             with pytest.raises(ValueError, match="shape"):

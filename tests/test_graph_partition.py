@@ -73,6 +73,74 @@ class TestRandomKPartition:
         expected = g.n_edges / k
         assert (np.abs(sizes - expected) < 0.3 * expected).all()
 
+    def test_generator_stream_advances_as_before(self):
+        g = gnp(80, 0.2, 3)
+        given = np.random.default_rng(17)
+        reference = np.random.default_rng(17)
+        part = random_k_partition(g, 5, given)
+        expected = reference.integers(0, 5, size=g.n_edges, dtype=np.int64)
+        np.testing.assert_array_equal(part.assignment, expected)
+        # The caller's next draw is the one it would have been.
+        assert given.random() == reference.random()
+
+    @pytest.mark.parametrize("seed", [
+        7, np.random.SeedSequence(123).spawn(2)[0],
+        np.random.default_rng(4),
+    ])
+    def test_pickles_as_a_recipe(self, seed):
+        g = gnp(400, 0.05, 3)
+        part = random_k_partition(g, 8, seed)
+        sizes = part.piece_sizes()  # forces the draw
+        copy = pickle.loads(pickle.dumps(part))
+        np.testing.assert_array_equal(copy.assignment, part.assignment)
+        np.testing.assert_array_equal(copy.piece_sizes(), sizes)
+        graph_only = len(pickle.dumps(g))
+        assert len(pickle.dumps(part)) < graph_only + 1024
+        for i in range(8):
+            recipe = pickle.loads(pickle.dumps(part.recipe(i)))
+            assert len(pickle.dumps(part.recipe(i))) < 1024
+            assert recipe.piece(g, i) == part.piece(i)
+
+    def test_seeded_partition_draws_lazily(self):
+        g = gnp(60, 0.2, 3)
+        part = random_k_partition(g, 4, 11)
+        assert "assignment" not in part.__dict__
+        np.testing.assert_array_equal(
+            part.assignment,
+            np.random.default_rng(11).integers(0, 4, size=g.n_edges))
+
+    def test_facade_stream_is_the_seed_sequence(self):
+        """The facade passes the ``SeedSequence`` under its partition
+        generator; both draw the same assignment."""
+        from repro.solve.context import RunContext
+
+        g = gnp(200, 0.1, 3)
+        gen = RunContext(seed=123, k=8).generators(2)[0]
+        seq = RunContext(seed=123, k=8).seed_sequences(2)[0]
+        np.testing.assert_array_equal(
+            random_k_partition(g, 8, seq).assignment,
+            random_k_partition(g, 8, gen).assignment)
+
+    def test_explicit_recipes_are_the_piece_rows(self):
+        from repro.graph.partition import random_vertex_partition
+
+        g = gnp(50, 0.2, 3)
+        for part in (adversarial_degree_partition(g, 3),
+                     random_vertex_partition(g, 3, 5)):
+            for i in range(3):
+                recipe = part.recipe(i)
+                assert part.recipe(i) is recipe  # built once per machine
+                assert not recipe.rows.flags.writeable
+                copy = pickle.loads(pickle.dumps(recipe))
+                assert copy.piece(g, i) == part.piece(i)
+            with pytest.raises(IndexError):
+                part.recipe(3)
+        explicit = adversarial_degree_partition(g, 3)
+        for i in range(3):
+            np.testing.assert_array_equal(
+                explicit.recipe(i).rows,
+                np.flatnonzero(explicit.assignment == i))
+
     def test_reproducible(self, rng):
         g = gnp(30, 0.2, 3)
         a = random_k_partition(g, 4, 9).assignment

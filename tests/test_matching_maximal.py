@@ -65,6 +65,53 @@ class TestGreedyMaximal:
             _sequential_scan(g.n_vertices, eu, ev),
             _baseline_scan(g.n_vertices, eu, ev))
 
+    @pytest.mark.parametrize("order, density", [
+        ("random", 1.0),   # each round halves the live edges: rounds end it
+        ("input", 2.0),    # canonical order stalls the rounds: scan finishes
+    ])
+    def test_rounds_equal_baseline_scan(self, order, density):
+        """Greedy rounds return the scan's rows in the scan's order, both
+        where they finish the matching and where they hand off."""
+        from unittest import mock
+
+        from oracles import _baseline_scan
+        from repro.matching import maximal
+
+        n = 20_000
+        g = Graph(n, np.random.default_rng(8).integers(
+            0, n, size=(int(density * n), 2)))
+        e = g.edges
+        if order == "random":
+            e = e[np.random.default_rng(9).permutation(g.n_edges)]
+        eu, ev = np.ascontiguousarray(e[:, 0]), np.ascontiguousarray(e[:, 1])
+        handed_off = []
+        scan = maximal._scan
+
+        def recording_scan(taken, u, v):
+            handed_off.append(u.shape[0])
+            return scan(taken, u, v)
+
+        with mock.patch.object(maximal, "_scan", recording_scan):
+            got = maximal._rounds_then_scan(n, eu, ev)
+        np.testing.assert_array_equal(got, _baseline_scan(n, eu, ev))
+        if order == "random":
+            assert handed_off == [0]
+        else:
+            assert handed_off[0] > g.n_edges // 4
+
+    def test_greedy_picks_rounds_only_on_sparse_inputs(self):
+        from unittest import mock
+
+        from repro.matching import maximal
+
+        sparse = gnp(400, 2.0 / 400, 1)
+        dense = gnp(100, 0.5, 1)
+        for g, rounds in ((sparse, True), (dense, False)):
+            with mock.patch.object(maximal, "_rounds_then_scan",
+                                   wraps=maximal._rounds_then_scan) as spy:
+                maximal.greedy_maximal_matching(g, order="input")
+            assert spy.called == rounds
+
     def test_unknown_order_raises(self, rng):
         with pytest.raises(ValueError):
             greedy_maximal_matching(gnp(5, 0.5, rng), order="bogus")  # type: ignore

@@ -9,7 +9,7 @@ from repro.graph.bipartite import BipartiteGraph
 from repro.graph.edgelist import Graph
 from repro.graph.partition import random_k_partition
 from repro.graph.validation import check_graph, check_partition
-from repro.utils.arrays import dedupe_edges, edge_keys, isin_mask
+from repro.utils.arrays import edge_keys, isin_mask, sorted_unique_edges
 
 SETTINGS = settings(
     max_examples=40,
@@ -75,8 +75,8 @@ def test_graph_construction_invariants(g):
 @SETTINGS
 @given(graphs())
 def test_dedupe_idempotent(g):
-    once = dedupe_edges(g.edges, g.n_vertices)
-    twice = dedupe_edges(once, g.n_vertices)
+    once = sorted_unique_edges(g.edges, g.n_vertices)
+    twice = sorted_unique_edges(once, g.n_vertices)
     np.testing.assert_array_equal(once, twice)
 
 
@@ -164,6 +164,73 @@ def test_greedy_input_order_equals_baseline_scan(g, block):
     e = g.edges
     np.testing.assert_array_equal(
         got, _baseline_scan(g.n_vertices, e[:, 0], e[:, 1]))
+
+
+@SETTINGS
+@given(raw_edge_lists())
+def test_rounds_then_scan_equals_baseline_scan(case):
+    """The greedy rounds hand the scan's matching back row for row, in
+    the scan's order, whether they finish it or hand off to the scan."""
+    from oracles import _baseline_scan
+    from repro.matching import maximal
+
+    n, eu, ev = case
+    np.testing.assert_array_equal(maximal._rounds_then_scan(n, eu, ev),
+                                  _baseline_scan(n, eu, ev))
+
+
+@SETTINGS
+@given(raw_edge_lists(max_n=40, max_m=200))
+def test_canonical_edges_equal_baseline(case):
+    """Graph's one-sort canonicalization builds the array the earlier
+    ``np.unique`` version built."""
+    from oracles import _baseline_graph_edges
+
+    n, eu, ev = case
+    raw = np.stack([eu, ev], axis=1)
+    want = _baseline_graph_edges(raw, n)
+    np.testing.assert_array_equal(sorted_unique_edges(raw, n), want)
+    np.testing.assert_array_equal(Graph(n, raw).edges, want)
+
+
+@st.composite
+def matching_candidates(draw):
+    """A graph and a candidate edge set: rows of the graph, non-edges,
+    repeated vertices, self-loops and out-of-range ids all occur."""
+    g = draw(graphs(max_n=20, max_m=40))
+    n = g.n_vertices
+    rows = draw(st.lists(st.one_of(
+        st.sampled_from(g.edges.tolist()) if g.n_edges
+        else st.nothing(),
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+        st.tuples(st.integers(-1, n), st.integers(-1, n)),
+    ), max_size=6))
+    return g, np.asarray(rows, dtype=np.int64).reshape(-1, 2)
+
+
+@SETTINGS
+@given(matching_candidates())
+def test_is_matching_equals_baseline(case):
+    from oracles import _baseline_is_matching
+    from repro.matching.verify import is_matching
+
+    g, candidate = case
+    assert is_matching(g, candidate) == _baseline_is_matching(g, candidate)
+
+
+@SETTINGS
+@given(graphs(), st.integers(0, 2**31 - 1))
+def test_cover_mask_equals_unique(g, seed):
+    """Vertex sets read off a mask over n are ``np.unique``'s arrays."""
+    from repro.cover.two_approx import matching_based_cover
+    from repro.matching.maximal import greedy_maximal_matching
+
+    matching = greedy_maximal_matching(g, order="random", rng=seed)
+    cover = matching_based_cover(g, matching=matching)
+    want = (np.unique(matching.ravel()) if matching.size
+            else np.zeros(0, dtype=np.int64))
+    np.testing.assert_array_equal(cover, want)
+    assert cover.dtype == want.dtype
 
 
 @SETTINGS

@@ -8,6 +8,7 @@ resolution plumbing (``resolve_executor`` / CLI / env).
 """
 
 import os
+import pickle
 import subprocess
 import sys
 
@@ -145,15 +146,88 @@ class TestPieceCache:
             for rng in (4, 5, 6):
                 run_simultaneous(proto, part, rng=rng, executor=ex)
             last = ex.piece_cache.stats()
-        # Later barriers re-registered the same pieces (hits, no new
-        # stores or bytes), and shipping is bounded by fetch-and-pin:
-        # each of the 4 pieces crosses the wire at most once per worker,
-        # no matter how many barriers run.
-        assert last["pieces_stored"] == first["pieces_stored"] == 4
+        # Every task names the one graph and machines cut their own
+        # pieces: later barriers re-register it (hits, no new stores or
+        # bytes), and shipping is bounded by fetch-and-pin: the graph
+        # crosses the wire at most once per worker, no matter how many
+        # barriers run.
+        assert last["pieces_stored"] == first["pieces_stored"] == 1
         assert last["store_hits"] > first["store_hits"]
         assert last["bytes_stored"] == first["bytes_stored"]
-        assert last["fetches_served"] <= 4 * 2  # pieces × workers
+        assert last["fetches_served"] <= 1 * 2  # graphs × workers
         assert last["bytes_shipped"] <= 2 * last["bytes_stored"]
+
+    @pytest.mark.parametrize("kind", ["explicit", "vertex"])
+    def test_explicit_partitions_store_their_rows_once(self, kind):
+        from repro.core.protocols import matching_coreset_protocol
+        from repro.dist.coordinator import run_simultaneous
+        from repro.graph.generators import bipartite_gnp
+        from repro.graph.partition import (
+            adversarial_degree_partition,
+            random_vertex_partition,
+        )
+
+        g = bipartite_gnp(300, 300, 0.05, 1)
+        part = (adversarial_degree_partition(g, 4) if kind == "explicit"
+                else random_vertex_partition(g, 4, 2))
+        proto = matching_coreset_protocol()
+        stats = []
+        with _executor(cache_min_bytes=0) as ex:
+            for rng in (3, 4, 5):
+                got = run_simultaneous(proto, part, rng=rng, executor=ex)
+                want = run_simultaneous(proto, part, rng=rng,
+                                        executor="serial")
+                np.testing.assert_array_equal(got.output, want.output)
+                stats.append(ex.piece_cache.stats())
+        # Five payloads, the graph and each machine's rows, stored once:
+        # later barriers hand out the same row recipes.
+        first, last = stats[0], stats[-1]
+        assert last["pieces_stored"] == first["pieces_stored"] == 1 + 4
+        assert last["store_hits"] > first["store_hits"]
+        assert last["bytes_stored"] == first["bytes_stored"]
+        # The graph crosses once per worker and each machine's rows once.
+        # A task names the graph before its rows, so a worker's pins
+        # never evict the graph; rows a worker evicted may cross again,
+        # never more than all of them per barrier.
+        graph_bytes = len(pickle.dumps(g, pickle.HIGHEST_PROTOCOL))
+        rows_bytes = first["bytes_stored"] - graph_bytes
+        assert first["bytes_shipped"] <= 2 * graph_bytes + rows_bytes
+        for before, after in zip(stats, stats[1:]):
+            assert after["bytes_shipped"] - before["bytes_shipped"] \
+                <= rows_bytes
+
+    def test_repeated_solves_keep_one_graph(self):
+        from repro.graph.edgelist import Graph
+        from repro.solve import RunContext, solve
+        from repro.solve.graphs import load_graph
+
+        skewed = load_graph("skewed:n=4000", rng=1)
+        graph = Graph(skewed.n_vertices, skewed.edges)
+        stored = []
+        with _executor() as ex:
+            for seed in range(6):
+                solve(graph, "vertex_cover.coreset",
+                      RunContext(seed=seed, k=8, executor=ex))
+                assert len(ex.piece_cache) == 1
+                stored.append(ex.piece_cache.stats()["bytes_stored"])
+            assert ex.piece_cache.stats()["store_hits"] > 0
+        assert stored == [stored[0]] * 6
+
+    def test_cache_keeps_a_few_graphs_and_the_barriers_own(self):
+        from repro.dist import remote
+        from repro.graph.edgelist import Graph
+
+        cache = RemotePieceCache(min_bytes=0)
+        graphs = [Graph(8, [(0, i)]) for i in range(1, 8)]
+        cache.begin_barrier()
+        digests = [cache.register(g) for g in graphs]
+        # One barrier naming more graphs than the cache keeps: none go.
+        assert len(cache) == len(graphs)
+        cache.begin_barrier()
+        assert cache.register(graphs[-1]) == digests[-1]
+        cache.register(Graph(8, [(1, 2)]))
+        assert len(cache) == remote._CACHED_PAYLOADS
+        assert digests[-1] in cache._payloads  # named by this barrier
 
     def test_cached_run_matches_serial(self):
         from repro.core.protocols import matching_coreset_protocol
@@ -170,6 +244,30 @@ class TestPieceCache:
             assert ex.piece_cache.stats()["pieces_stored"] > 0
         np.testing.assert_array_equal(serial.output, remote.output)
         assert serial.total_bits == remote.total_bits
+
+
+class TestShutdown:
+    def test_close_joins_every_pool_thread(self):
+        import threading
+        import time
+
+        # Other tests' executors (the shared remote_executor fixture) may
+        # still be running.
+        earlier = set(threading.enumerate())
+
+        def pool_threads():
+            return [t.name for t in threading.enumerate()
+                    if t.name.startswith("repro-remote-")
+                    and t not in earlier]
+
+        for _ in range(2):
+            with _executor() as ex:
+                assert ex.map(square, range(6)) == [x * x for x in range(6)]
+                assert pool_threads()
+        deadline = time.monotonic() + 10
+        while pool_threads() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert pool_threads() == []
 
 
 # --------------------------------------------------------------------- #
@@ -217,7 +315,7 @@ class TestExternalWorkers:
             env=env, stdout=subprocess.DEVNULL,
         )
         try:
-            with _executor(spawn_workers=0,
+            with _executor(max_workers=1, spawn_workers=0,
                            bind=f"127.0.0.1:{unused_port}") as ex:
                 ex.start()
                 assert ex.map(square, range(6)) == [
@@ -225,6 +323,28 @@ class TestExternalWorkers:
                 ]
         finally:
             assert proc.wait(timeout=10) == 0
+
+    def test_first_barrier_starts_with_a_partial_fleet(self):
+        # The first barrier waits for all max_workers of a fleet launched
+        # by hand only within the connect window, then runs on whoever
+        # came.
+        import time
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in sys.path if p)
+        with _executor(spawn_workers=0, connect_timeout=3) as ex:
+            host, port = ex.start()
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro", "worker",
+                 "--connect", f"{host}:{port}"],
+                env=env, stdout=subprocess.DEVNULL,
+            )
+            deadline = time.monotonic() + 60
+            while ex.n_workers < 1 and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert ex.map(square, range(6)) == [x * x for x in range(6)]
+            assert ex.n_workers == 1 and not ex.degraded
+        assert proc.wait(timeout=10) == 0
 
     def test_worker_cli_rejects_bad_address(self):
         from repro.cli import main

@@ -147,6 +147,22 @@ class TestDegradation:
                 assert ex.degraded
         np.testing.assert_array_equal(serial.output, remote.output)
 
+    def test_degrading_first_barrier_pins_the_graph(self, workload):
+        # The graph reference is resolved after the pool: a first barrier
+        # that degrades hands its tasks the fallback's pinned segment,
+        # not one pickled copy of the graph per task.
+        from repro.dist.shm import ResidentGraph
+
+        part, serial = workload
+        with pytest.warns(RemoteDegradedWarning, match="degrading"):
+            with RemoteExecutor(max_workers=2, spawn_workers=0,
+                                connect_timeout=0.5) as ex:
+                assert isinstance(ex.resident(part.graph), ResidentGraph)
+                assert ex.degraded
+                remote = run_simultaneous(matching_coreset_protocol(),
+                                          part, rng=2, executor=ex)
+        np.testing.assert_array_equal(serial.output, remote.output)
+
     def test_degraded_executor_stays_degraded(self):
         with pytest.warns(RemoteDegradedWarning):
             with RemoteExecutor(max_workers=2, spawn_workers=0,

@@ -508,6 +508,20 @@ class TestCapabilities:
         with pytest.raises(ValueError, match="no parameter"):
             solve(bipartite, "matching.coreset", _ctx(), bogus=1)
 
+    def test_partition_without_recipe_rejected(self, bipartite):
+        # Machines cut their pieces from a recipe: an object with only
+        # piece()/k/graph is refused up front, not deep in the engine.
+        class PiecesOnly:
+            k = K
+            graph = bipartite
+
+            def piece(self, i):
+                return bipartite
+
+        with pytest.raises(ValueError, match=r"recipe\(\)"):
+            solve(bipartite, "matching.coreset", _ctx(),
+                  partition=PiecesOnly())
+
     def test_verify_skip(self, bipartite):
         res = solve(bipartite, "matching.maximum", _ctx(), verify=False)
         assert not res.verified

@@ -5,9 +5,9 @@ import pytest
 
 from repro.utils.arrays import (
     canonical_edges,
-    dedupe_edges,
     edge_keys,
     isin_mask,
+    sorted_unique_edges,
     unique_vertices,
 )
 
@@ -41,15 +41,15 @@ class TestEdgeKeys:
 class TestDedupeEdges:
     def test_removes_duplicates_and_reversals(self):
         edges = np.array([[0, 1], [1, 0], [0, 1], [2, 3]])
-        out = dedupe_edges(edges, 4)
+        out = sorted_unique_edges(edges, 4)
         assert out.shape == (2, 2)
 
     def test_removes_self_loops(self):
-        out = dedupe_edges(np.array([[2, 2], [0, 1]]), 3)
+        out = sorted_unique_edges(np.array([[2, 2], [0, 1]]), 3)
         np.testing.assert_array_equal(out, [[0, 1]])
 
     def test_empty(self):
-        out = dedupe_edges(np.zeros((0, 2), dtype=np.int64), 5)
+        out = sorted_unique_edges(np.zeros((0, 2), dtype=np.int64), 5)
         assert out.shape == (0, 2)
 
 
