@@ -27,17 +27,20 @@ substrate, independent of any particular coreset:
 * :mod:`repro.dist.executor` — pluggable execution backends (``serial``,
   ``processes``, ``remote``) for the per-machine work of both
   engines, with persistent worker pools amortized across rounds and trials.
-* :mod:`repro.dist.shm` — shared-memory edge segments: the
-  :class:`~repro.dist.shm.SharedEdgeStore` places a graph's edge array in
-  shared memory once and hands out lightweight
-  :class:`~repro.dist.shm.EdgeHandle` records, which is how ``repro
-  serve`` pins its resident graphs for process workers.  The engines
-  themselves always pickle each piece into its machine's task.
+* :mod:`repro.dist.shm` — shared-memory graph segments: a
+  :class:`~repro.dist.shm.ResidentPin` writes a graph into one segment
+  and a task carries its :class:`~repro.dist.shm.ResidentGraph`
+  reference, which each worker attaches once.  The ``processes`` backend
+  pins the graph of its barriers this way, and ``repro serve`` every
+  graph it registers on a process pool; a machine task carries the
+  reference and its partition's recipe, and the machine cuts its own
+  piece.
 * :mod:`repro.dist.remote` — the socket coordinator behind
   ``executor="remote"``: ``repro worker`` processes joined over
   length-prefixed RPC, with per-task timeouts, bounded retry, heartbeats,
   and the content-addressed :class:`~repro.dist.remote.RemotePieceCache`,
-  which ships each piece's bytes at most once per worker.
+  which ships a graph, or an explicit partition's machine rows, at most
+  once per worker.
 
 Machines are independent in the model, and the engines preserve that
 independence in the code, so the k per-machine computations can genuinely
@@ -95,12 +98,10 @@ from repro.dist.remote import (
     RemotePieceCache,
     RemoteTaskError,
 )
-from repro.dist.shm import EdgeHandle, SharedEdgeStore, SharedStoreClosedError
 
 __all__ = [
     "CommunicationLedger",
     "Coordinator",
-    "EdgeHandle",
     "Executor",
     "ExecutorClosedError",
     "ExecutorError",
@@ -117,8 +118,6 @@ __all__ = [
     "RemoteTaskError",
     "RoundRecord",
     "SerialExecutor",
-    "SharedEdgeStore",
-    "SharedStoreClosedError",
     "SimultaneousProtocol",
     "UnpicklableTaskError",
     "WorkerPoolBrokenError",

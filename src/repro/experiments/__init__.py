@@ -1,5 +1,5 @@
 """Experiment harness: trial running, aggregation, and the declarative
-E1–E21 registry that regenerates every quantitative claim of the paper.
+E1–E23 registry that regenerates every quantitative claim of the paper.
 
 The public surface is the registry (``get_experiment("e1").run(...)``);
 importing ``tables`` registers every spec, and ``trials`` holds the

@@ -183,7 +183,7 @@ def run_trials(
 
     Trials destined for the ``processes`` or ``remote`` backend must be
     *picklable*: module-level callables or
-    :class:`~repro.experiments.registry.Trial` dataclasses (the E1–E21
+    :class:`~repro.experiments.registry.Trial` dataclasses (the E1–E23
     trials in :mod:`repro.experiments.trials` all qualify), never closures
     or lambdas.  When trials do fan out across processes, the engines
     *inside* each trial are pinned to the serial backend — trial-level

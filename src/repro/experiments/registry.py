@@ -1,6 +1,6 @@
 """The declarative experiment API: specs, trials, and the registry.
 
-Every reproduced claim (E1–E21) is described by an :class:`ExperimentSpec`
+Every reproduced claim (E1–E23) is described by an :class:`ExperimentSpec`
 — id, title, one-line description, table columns, default parameter grid,
 and seed — registered once via the :func:`experiment` decorator in
 :mod:`repro.experiments.tables`.  The imperative half of an experiment is a

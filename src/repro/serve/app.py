@@ -6,8 +6,9 @@ long-lived service:
 
 * **graphs load once** — at startup (``--graph id=SPEC``) or at runtime
   (``POST /graphs``) — and stay pinned in a :class:`~repro.serve.store.
-  GraphStore`; with a process pool the edges sit in shared memory and
-  requests ship only handles;
+  GraphStore`; with a process pool each graph sits in one shared-memory
+  segment, requests ship only a reference to it, and each worker
+  attaches it once;
 * **one executor for the server's lifetime** — ``serial`` unless
   ``--executor`` or ``$REPRO_EXECUTOR`` names a pooled backend, whose
   pool is warmed at boot so no request pays pool start-up;
@@ -63,7 +64,7 @@ import json
 import math
 import signal
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs
 
@@ -72,8 +73,6 @@ from repro.dist.executor import (
     ProcessExecutor,
     resolve_executor,
 )
-from repro.graph.bipartite import BipartiteGraph
-from repro.graph.weights import WeightedGraph
 from repro.serve.batcher import MicroBatcher
 from repro.serve.protocol import (
     BadRequest,
@@ -103,6 +102,7 @@ from repro.solve.registry import (
     SolverSpec,
     UnknownSolverError,
     all_solvers,
+    check_fit,
     get_solver,
 )
 
@@ -185,9 +185,10 @@ class ReproServer:
             )
         executor = resolve_executor(cfg.executor, workers=cfg.workers)
         self.executor_name = executor.name
-        # Handles (shared segments) ship to process pools; every other
-        # executor shares the graph object itself and additionally reuses
-        # cached partition views across requests with the same (k, seed).
+        # Process pools get each graph pinned in a shared segment and
+        # tasks carry a reference to it; every other executor shares the
+        # graph object itself and additionally reuses cached partition
+        # views across requests with the same (k, seed).
         self.ship_handles = isinstance(executor, ProcessExecutor)
         # The supervisor owns the live executor from here on: it re-warms
         # after pool breaks, opens the circuit breaker on a run of them,
@@ -568,55 +569,36 @@ class ReproServer:
                   params: Dict[str, Any]) -> None:
         """Reject with a 4xx everything the facade would reject with a
         raise — capability mismatches must never cost a pool round-trip."""
-        if spec.bipartite_only and not isinstance(graph, BipartiteGraph):
-            raise BadRequest(
-                f"solver {spec.name!r} requires a bipartite graph, "
-                f"got {type(graph).__name__}",
-                solver=spec.name,
-            )
-        if spec.weighted and not isinstance(graph, WeightedGraph):
-            raise BadRequest(
-                f"solver {spec.name!r} requires a weighted graph, "
-                f"got {type(graph).__name__}",
-                solver=spec.name,
-            )
+        try:
+            check_fit(spec, graph, params)
+        except ValueError as exc:  # SolverCapabilityError included
+            raise BadRequest(str(exc), solver=spec.name)
         if spec.model == "coreset" and k is None:
             raise BadRequest(
                 f"solver {spec.name!r} runs in the k-machine coreset "
                 f"model; the request must set 'k'",
                 solver=spec.name,
             )
-        unknown = sorted(set(params) - set(spec.params))
-        if unknown:
-            raise BadRequest(
-                f"solver {spec.name!r} has no parameter(s) "
-                f"{', '.join(unknown)}; settable: "
-                f"{', '.join(sorted(spec.params)) or '(none)'}",
-                solver=spec.name,
-            )
 
-    async def _make_task(self, pg: PinnedGraph, spec: SolverSpec, seed: int,
-                         k: Optional[int], params: Dict[str, Any],
-                         verify: bool, include_certificate: bool,
-                         deadline_ts: Optional[float] = None) -> SolveTask:
-        task = SolveTask(
+    def _make_task(self, pg: PinnedGraph, spec: SolverSpec, seed: int,
+                   k: Optional[int], params: Dict[str, Any], verify: bool,
+                   include_certificate: bool,
+                   deadline_ts: Optional[float] = None) -> SolveTask:
+        graph, partition = pg.graph, None
+        if pg.pin is not None:
+            graph = pg.pin.ref
+        elif (spec.model == "coreset" and "partition" in spec.params
+              and k is not None):
+            # Partition views ride with the graph object only: workers
+            # that attach a pinned graph draw the partition from the seed
+            # (bit-identical by contract).
+            partition = self.store.lease_view(pg, k, seed)
+        return SolveTask(
             graph_id=pg.graph_id, solver=spec.name, seed=seed, k=k,
             params=params, verify=verify,
-            include_certificate=include_certificate,
-            deadline_ts=deadline_ts,
+            include_certificate=include_certificate, graph=graph,
+            partition=partition, deadline_ts=deadline_ts,
         )
-        if self.ship_handles and pg.handle is not None:
-            return replace(task, handle=pg.handle, weights=pg.weights)
-        if (spec.model == "coreset" and "partition" in spec.params
-                and k is not None):
-            # Partition views ride with the graph object only: handle-
-            # shipping workers rebuild the partition from the seed
-            # (bit-identical by contract).
-            view = await asyncio.get_running_loop().run_in_executor(
-                None, self.store.lease_view, pg, k, seed
-            )
-            task = replace(task, partition=view)
-        return replace(task, graph=pg.graph)
 
     def _deadline(self, requested_ms: Optional[float]
                   ) -> Tuple[Optional[float], Optional[float],
@@ -651,7 +633,7 @@ class ReproServer:
                 budget_ms, deadline, deadline_ts = self._deadline(
                     req.deadline_ms
                 )
-                task = await self._make_task(
+                task = self._make_task(
                     pg, spec, req.seed, req.k, req.params, req.verify,
                     req.include_certificate, deadline_ts=deadline_ts)
                 payload = await self._submit(pg, task, deadline=deadline,
@@ -700,12 +682,11 @@ class ReproServer:
                         raise NotFound(str(exc), solver=entry.solver)
                     self._precheck(spec, pg.graph, req.k, entry.params)
                     specs.append(spec)
-                # Lease every partition view before submitting anything:
-                # then all entries join the graph's queue in one tick and
-                # share one barrier.
-                tasks = [await self._make_task(pg, spec, req.seed, req.k,
-                                               entry.params, req.verify,
-                                               False, deadline_ts=deadline_ts)
+                # Build every task before submitting any: then all entries
+                # join the graph's queue in one tick and share one barrier.
+                tasks = [self._make_task(pg, spec, req.seed, req.k,
+                                         entry.params, req.verify, False,
+                                         deadline_ts=deadline_ts)
                          for entry, spec in zip(req.entries, specs)]
                 payloads = await asyncio.gather(
                     *(self._submit(pg, task, deadline=deadline,

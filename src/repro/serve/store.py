@@ -3,9 +3,11 @@
 A :class:`GraphStore` owns every graph the server can solve over.  Each
 graph is loaded once (at startup via ``--graph`` or at runtime via
 ``POST /graphs``) and *pinned*: when the worker pool runs in separate
-processes, the edge array is packed into one shared-memory segment up
-front, so each request ships a tiny :class:`~repro.dist.shm.EdgeHandle`
-instead of re-pickling the whole graph.
+processes, a :class:`~repro.dist.shm.ResidentPin` writes the graph —
+edges, and the weights and capacities of the weighted types — into one
+shared-memory segment up front, so each request ships the pin's small
+:class:`~repro.dist.shm.ResidentGraph` reference instead of the graph,
+and each worker attaches a graph once, not once per request.
 
 On top of the graphs sits a small LRU of **partition views**: coreset
 solvers derive their k-partition from ``(seed, k)``, so whenever tasks
@@ -16,16 +18,18 @@ repeats the triple — which is exactly what a micro-batch of identical
 requests does.  The partition's seed sequence is re-derived from
 ``RunContext(seed, k).seed_sequences(2)[0]`` (the stream the adapter
 itself would draw), so a cached view is bit-identical to the partition an
-uncached solve would have built.  A view is a plain in-memory object, so
-the cache needs no leases: evicting one drops only the cache's
-reference, never a running solve's.
+uncached solve would have built.  Building a view draws nothing (the
+draw happens when a machine cuts its piece), so a lookup is O(1) either
+way.  A view is a plain in-memory object, so the cache needs no leases:
+evicting one drops only the cache's reference, never a running solve's.
 
 Unpinning is refcounted and never yanks memory from under a request:
 ``unregister`` retires the graph immediately (new requests 404) but
-defers closing its segment until every in-flight lease is released — and
+defers closing its pin until every in-flight lease is released — and
 POSIX keeps existing mappings valid past unlink anyway, so even a racing
-worker cannot fault.  ``tests/test_serve_faults.py`` hammers exactly
-this path.
+worker cannot fault.  A worker keeps the last graph it attached mapped
+until it attaches another one.  ``tests/test_serve_faults.py`` hammers
+exactly this path.
 """
 
 from __future__ import annotations
@@ -35,15 +39,16 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-import numpy as np
-
-from repro.dist.shm import EdgeHandle, SharedEdgeStore
+from repro.dist.shm import ResidentPin
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.partition import PartitionedGraph, random_k_partition
 from repro.graph.weights import WeightedGraph
 from repro.serve.protocol import Conflict, NotFound
 
-__all__ = ["GraphStore", "PinnedGraph"]
+__all__ = ["MAX_VIEWS_PER_GRAPH", "GraphStore", "PinnedGraph"]
+
+#: Bound of each graph's partition-view LRU.
+MAX_VIEWS_PER_GRAPH = 4
 
 
 @dataclass
@@ -54,9 +59,7 @@ class PinnedGraph:
     source: str
     seed: int
     graph: Any
-    store: Optional[SharedEdgeStore] = None
-    handle: Optional[EdgeHandle] = None
-    weights: Optional[np.ndarray] = None
+    pin: Optional[ResidentPin] = None
     refs: int = 0
     retired: bool = False
     solves: int = 0
@@ -75,7 +78,7 @@ class PinnedGraph:
             "n_edges": int(g.n_edges),
             "bipartite": isinstance(g, BipartiteGraph),
             "weighted": isinstance(g, WeightedGraph),
-            "pinned_shared": self.handle is not None,
+            "pinned_shared": self.pin is not None,
             "in_flight": self.refs,
             "partition_views": len(self.views),
             "solves": self.solves,
@@ -85,18 +88,13 @@ class PinnedGraph:
 class GraphStore:
     """Thread-safe registry of pinned graphs and cached partition views.
 
-    ``pin_shared=True`` (process pools) packs each registered graph's
-    edges into a shared segment at registration; ``False`` (in-process
-    pools) skips the copy and shares the object directly.
-    ``max_views_per_graph`` bounds the per-graph partition-view LRU.
+    ``pin_shared=True`` (process pools) pins each registered graph in a
+    shared segment at registration; ``False`` (in-process pools) skips the
+    copy and shares the object directly.
     """
 
-    def __init__(self, pin_shared: bool = False,
-                 max_views_per_graph: int = 4) -> None:
-        if max_views_per_graph < 1:
-            raise ValueError("max_views_per_graph must be >= 1")
+    def __init__(self, pin_shared: bool = False) -> None:
         self.pin_shared = pin_shared
-        self.max_views_per_graph = max_views_per_graph
         self._graphs: Dict[str, PinnedGraph] = {}
         self._lock = threading.RLock()
         self.views_created = 0
@@ -109,7 +107,7 @@ class GraphStore:
                  graph: Any = None) -> PinnedGraph:
         """Load (if needed), pin, and register a graph under ``graph_id``.
 
-        The load and the segment pack run outside the store lock, so a
+        The load and the pin's copy run outside the store lock, so a
         slow registration never stalls in-flight solves; only the final
         insert is serialized (and re-checks for an id conflict).
         """
@@ -121,24 +119,13 @@ class GraphStore:
             from repro.solve.graphs import load_graph
 
             graph = load_graph(source, rng=int(seed))
-        store = handle = weights = None
-        if self.pin_shared:
-            store = SharedEdgeStore()
-            if isinstance(graph, WeightedGraph):
-                # Edges pin in the segment; weights are not edge-shaped, so
-                # they ride the task payload (one pickle per task — small
-                # next to re-pickling edges *and* weights every request).
-                handle = store.put_edges(graph.edges, graph.n_vertices)
-                weights = graph.weights
-            else:
-                handle = store.put_graph(graph)
+        pin = ResidentPin(graph) if self.pin_shared else None
         pg = PinnedGraph(graph_id=graph_id, source=source, seed=int(seed),
-                         graph=graph, store=store, handle=handle,
-                         weights=weights)
+                         graph=graph, pin=pin)
         with self._lock:
             if graph_id in self._graphs:
-                if store is not None:
-                    store.close()
+                if pin is not None:
+                    pin.close()
                 raise Conflict(f"graph id {graph_id!r} is already registered",
                                graph=graph_id)
             self._graphs[graph_id] = pg
@@ -160,9 +147,9 @@ class GraphStore:
         return info
 
     def _finalize(self, pg: PinnedGraph) -> None:
-        if pg.store is not None:
-            pg.store.close()
-            pg.store = None
+        if pg.pin is not None:
+            pg.pin.close()
+            pg.pin = None
 
     # ------------------------------------------------------------------ #
     # lookup and leases
@@ -210,6 +197,8 @@ class GraphStore:
         ``partition=`` seat is bit-identical to letting it partition
         itself (``tests/test_serve_api.py`` proves this end to end).
         """
+        from repro.solve.context import RunContext
+
         key = (int(k), int(seed))
         with self._lock:
             view = pg.views.get(key)
@@ -217,21 +206,10 @@ class GraphStore:
                 pg.views.move_to_end(key)
                 self.view_hits += 1
                 return view
-        # Build outside the lock: partitioning is O(m) and must not stall
-        # unrelated requests.
-        from repro.solve.context import RunContext
-
-        sequence = RunContext(seed=seed, k=k).seed_sequences(2)[0]
-        view = random_k_partition(pg.graph, k, sequence)
-        with self._lock:
-            winner = pg.views.get(key)
-            if winner is not None:  # lost a build race; use the winner's
-                pg.views.move_to_end(key)
-                self.view_hits += 1
-                return winner
-            pg.views[key] = view
+            sequence = RunContext(seed=seed, k=k).seed_sequences(2)[0]
+            view = pg.views[key] = random_k_partition(pg.graph, k, sequence)
             self.views_created += 1
-            while len(pg.views) > self.max_views_per_graph:
+            if len(pg.views) > MAX_VIEWS_PER_GRAPH:
                 pg.views.popitem(last=False)
             return view
 

@@ -1,11 +1,12 @@
 """The picklable unit of server work: one solve, shipped to the pool.
 
-A :class:`SolveTask` is what crosses the executor boundary.  The
-``processes`` backend ships a lightweight
-:class:`~repro.dist.shm.EdgeHandle` into the worker, which maps the pinned
-segment zero-copy (plus the weights array for weighted graphs, whose
-weights live outside the edge segment).  Every other backend carries the
-graph object itself and, for coreset solvers, the server's cached
+A :class:`SolveTask` is what crosses the executor boundary.  On the
+``processes`` backend it carries the graph's
+:class:`~repro.dist.shm.ResidentGraph` — a reference to the segment the
+server pinned, the same few hundred bytes for every graph type and size —
+and the worker attaches the graph once, remembering it for the tasks
+that follow.  Every other backend carries the graph object itself and,
+for coreset solvers, the server's cached
 :class:`~repro.graph.partition.PartitionedGraph`: by reference on the
 in-process backends, pickled like any task argument on ``remote``.
 
@@ -24,10 +25,8 @@ import time
 from dataclasses import dataclass
 from typing import Any, Dict, Optional
 
-import numpy as np
-
 from repro.dist.faults import maybe_chaos
-from repro.dist.shm import EdgeHandle, open_graph
+from repro.dist.shm import ResidentGraph
 
 __all__ = ["SolveTask", "run_solve_task", "warm_worker"]
 
@@ -51,11 +50,12 @@ def warm_worker(i: int) -> int:
 class SolveTask:
     """One fully-resolved solve: solver name, seed/k, graph transport.
 
-    Exactly one of ``graph`` (the object itself) or ``handle`` (shared
-    segment, for process workers) is set.  ``partition`` rides only with
-    ``graph`` — the server's cached partition view for coreset solvers;
-    process workers rebuild partitions from the seed instead, which is
-    bit-identical by the facade's determinism contract.
+    ``graph`` is the graph object, or on a process pool the
+    :class:`~repro.dist.shm.ResidentGraph` naming its pinned segment.
+    ``partition`` rides only with a graph object — the server's cached
+    partition view for coreset solvers; process workers draw the
+    partition from the seed instead, which is bit-identical by the
+    facade's determinism contract.
     """
 
     graph_id: str
@@ -66,8 +66,6 @@ class SolveTask:
     verify: bool = True
     include_certificate: bool = False
     graph: Any = None
-    handle: Optional[EdgeHandle] = None
-    weights: Optional[np.ndarray] = None
     partition: Any = None
     # Wall-clock expiry (``time.time()``), comparable across the fork
     # boundary on one host; ``None`` means no deadline.  The batcher keeps
@@ -109,18 +107,10 @@ def run_solve_task(task: SolveTask) -> Dict[str, Any]:
 
     from repro.solve import RunContext, solve
 
-    attachment = None
     try:
         graph = task.graph
-        if graph is None:
-            if task.handle is None:
-                raise ValueError("task carries neither a graph nor a handle")
-            graph, attachment = open_graph(task.handle)
-            if task.weights is not None:
-                from repro.graph.weights import WeightedGraph
-
-                graph = WeightedGraph(graph.n_vertices, graph.edges,
-                                      task.weights, validated=True)
+        if isinstance(graph, ResidentGraph):
+            graph = graph.open()
         ctx = RunContext(seed=task.seed, k=task.k, executor="serial")
         params = dict(task.params)
         if task.partition is not None:
@@ -142,6 +132,3 @@ def run_solve_task(task: SolveTask) -> Dict[str, Any]:
                 "graph": task.graph_id,
             },
         }
-    finally:
-        if attachment is not None:
-            attachment.release()

@@ -38,7 +38,9 @@ are dropped unless the graph is a
 carries edge weights, and capacitated (b-matching) solvers unless it is a
 :class:`~repro.graph.capacity.CapacitatedBipartiteGraph` — with the
 reverse gate too: a capacitated input only resolves to capacitated
-solvers, never to one that would silently drop budgets.  Likewise ``k=None``
+solvers, never to one that would silently drop budgets.  This is
+:func:`~repro.solve.registry.graph_misfit`, the rule ``solve()`` and
+``repro serve`` check too.  Likewise ``k=None``
 drops coreset-model solvers, which cannot run without a machine count
 (MapReduce solvers stay: they default ``k`` to √n).  The result is a spec
 that can actually *solve the input at hand*, not merely one whose tags
@@ -60,6 +62,7 @@ from repro.solve.registry import (
     SolverCapabilityError,
     SolverSpec,
     all_solvers,
+    graph_misfit,
 )
 
 __all__ = [
@@ -225,31 +228,9 @@ def rank_candidates(
                     "coreset solvers need a machine count k and none "
                     "was supplied")
     if graph is not None:
-        from repro.graph.bipartite import BipartiteGraph
-        from repro.graph.capacity import CapacitatedBipartiteGraph
-        from repro.graph.weights import WeightedGraph, has_edge_weights
-
-        if not isinstance(graph, BipartiteGraph):
-            pool.narrow(lambda s: not s.bipartite_only, query,
-                        f"every candidate is bipartite-only but the graph "
-                        f"is a {type(graph).__name__}")
-        if not (isinstance(graph, WeightedGraph) or has_edge_weights(graph)):
-            pool.narrow(lambda s: not s.weighted, query,
-                        f"every candidate needs edge weights, got "
-                        f"{type(graph).__name__}")
-        # Capacitated gating is two-way, mirroring the solve() facade: a
-        # budgeted input must not resolve to a solver that would silently
-        # drop the budgets, and capacitated solvers need the budgets.
-        if isinstance(graph, CapacitatedBipartiteGraph):
-            pool.narrow(lambda s: s.capacitated, query,
-                        f"the graph is capacitated "
-                        f"({type(graph).__name__}) and every candidate "
-                        f"ignores capacities")
-        else:
-            pool.narrow(lambda s: not s.capacitated, query,
-                        f"every candidate needs a "
-                        f"CapacitatedBipartiteGraph, got "
-                        f"{type(graph).__name__}")
+        why = {s.name: graph_misfit(s, graph) for s in pool.specs}
+        pool.narrow(lambda s: why[s.name] is None, query,
+                    "; ".join(w for w in why.values() if w is not None))
     return sorted(
         pool.specs,
         key=lambda s: (s.baseline, guarantee_rank(s.guarantee),

@@ -36,6 +36,9 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
+from repro.graph.bipartite import BipartiteGraph
+from repro.graph.capacity import CapacitatedBipartiteGraph
+from repro.graph.weights import has_edge_weights
 from repro.solve.context import RunContext
 from repro.solve.result import SolveResult
 
@@ -45,7 +48,9 @@ __all__ = [
     "SolverSpec",
     "UnknownSolverError",
     "all_solvers",
+    "check_fit",
     "get_solver",
+    "graph_misfit",
     "solve",
     "solver",
     "solver_ids",
@@ -244,6 +249,51 @@ def solvers_for(
 # --------------------------------------------------------------------- #
 # the facade
 # --------------------------------------------------------------------- #
+def graph_misfit(spec: SolverSpec, graph: Any) -> Optional[str]:
+    """Why ``spec`` cannot run on ``graph``, or ``None`` when it can.
+
+    The one graph-type rule: bipartite-only solvers need a
+    :class:`~repro.graph.bipartite.BipartiteGraph`, weighted solvers edge
+    weights, and capacitated solvers a
+    :class:`~repro.graph.capacity.CapacitatedBipartiteGraph` — which, the
+    other way round, no solver that ignores capacities may take (it would
+    silently answer a different problem).
+    """
+    kind = type(graph).__name__
+    if spec.bipartite_only and not isinstance(graph, BipartiteGraph):
+        return f"solver {spec.name!r} requires a BipartiteGraph, got {kind}"
+    if spec.weighted and not has_edge_weights(graph):
+        return f"solver {spec.name!r} requires edge weights, got {kind}"
+    capacitated = isinstance(graph, CapacitatedBipartiteGraph)
+    if spec.capacitated and not capacitated:
+        return (f"solver {spec.name!r} requires a CapacitatedBipartiteGraph, "
+                f"got {kind}")
+    if capacitated and not spec.capacitated:
+        return (f"solver {spec.name!r} ignores capacities; a capacitated "
+                f"input needs a capacitated solver (it would silently "
+                f"answer a different problem)")
+    return None
+
+
+def check_fit(spec: SolverSpec, graph: Any, params: Mapping[str, Any]) -> None:
+    """The checks :func:`solve` runs before the solver, for callers that
+    must refuse a request before it reaches one (``repro serve``).
+
+    Raises :class:`SolverCapabilityError` when :func:`graph_misfit` names a
+    reason, and ``ValueError`` for a parameter the solver does not have.
+    """
+    reason = graph_misfit(spec, graph)
+    if reason is not None:
+        raise SolverCapabilityError(reason)
+    unknown = sorted(set(params) - set(spec.params))
+    if unknown:
+        raise ValueError(
+            f"solver {spec.name!r} has no parameter(s) "
+            f"{', '.join(unknown)}; settable: "
+            f"{', '.join(sorted(spec.params)) or '(none)'}"
+        )
+
+
 def solve(
     graph,
     solver_name: str,
@@ -258,9 +308,7 @@ def solve(
     ``ctx`` defaults to ``RunContext()`` (fresh entropy, serial execution).
     ``params`` overrides the solver's registered parameter defaults;
     unknown parameter names are rejected so typos fail loudly.  Capability
-    checks run before the solver: bipartite-only solvers demand a
-    :class:`~repro.graph.bipartite.BipartiteGraph`, weighted solvers a
-    :class:`~repro.graph.weights.WeightedGraph`.
+    checks (:func:`check_fit`) run before the solver.
 
     ``verify=True`` (the default) checks the certificate with the
     problem's verifier and records the outcome in ``result.verified``;
@@ -268,43 +316,9 @@ def solve(
     ``stats["verify_skipped"]`` is set) for hot loops that re-verify in
     bulk elsewhere.
     """
-    from repro.graph.bipartite import BipartiteGraph
-    from repro.graph.capacity import CapacitatedBipartiteGraph
-    from repro.graph.weights import WeightedGraph, has_edge_weights
-
     spec = get_solver(solver_name)
     ctx = RunContext() if ctx is None else ctx
-
-    if spec.bipartite_only and not isinstance(graph, BipartiteGraph):
-        raise SolverCapabilityError(
-            f"solver {spec.name!r} requires a BipartiteGraph, "
-            f"got {type(graph).__name__}"
-        )
-    if spec.weighted and not (
-        isinstance(graph, WeightedGraph) or has_edge_weights(graph)
-    ):
-        raise SolverCapabilityError(
-            f"solver {spec.name!r} requires edge weights, "
-            f"got {type(graph).__name__}"
-        )
-    if spec.capacitated and not isinstance(graph, CapacitatedBipartiteGraph):
-        raise SolverCapabilityError(
-            f"solver {spec.name!r} requires a CapacitatedBipartiteGraph, "
-            f"got {type(graph).__name__}"
-        )
-    if isinstance(graph, CapacitatedBipartiteGraph) and not spec.capacitated:
-        raise SolverCapabilityError(
-            f"solver {spec.name!r} ignores capacities; a capacitated input "
-            f"needs a capacitated solver (it would silently answer a "
-            f"different problem)"
-        )
-    unknown = sorted(set(params) - set(spec.params))
-    if unknown:
-        raise ValueError(
-            f"solver {spec.name!r} has no parameter(s) "
-            f"{', '.join(unknown)}; settable: "
-            f"{', '.join(sorted(spec.params)) or '(none)'}"
-        )
+    check_fit(spec, graph, params)
     merged = {**spec.params, **params}
 
     start = time.perf_counter()

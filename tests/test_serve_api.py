@@ -26,10 +26,37 @@ from repro.solve import RunContext, resolve_capability, solve
 from repro.solve.graphs import load_graph
 
 from repro.serve import ServeClient, ServeClientError
+from repro.serve.store import MAX_VIEWS_PER_GRAPH
 
 GRAPH_SPEC = "planted:n=400,p=0.02"
 GRAPH_SEED = 7
 DEMO = (("demo", GRAPH_SPEC, GRAPH_SEED),)
+# A WeightedBipartiteGraph and a CapacitatedBipartiteGraph.
+TYPED = (("ba", "workload:ba:weights=uniform", 0),
+         ("adwords", "workload:ba_adwords", 0))
+
+
+def _tiny_graphs():
+    """One small graph of each of the five graph types."""
+    import numpy as np
+
+    from repro.graph.capacity import (
+        CapacitatedBipartiteGraph,
+        WeightedBipartiteGraph,
+    )
+    from repro.graph.generators import bipartite_gnp, gnp
+    from repro.graph.weights import WeightedGraph
+
+    bip = bipartite_gnp(6, 6, 0.5, 1)
+    w = np.linspace(1.0, 2.0, bip.n_edges)
+    return {
+        "Graph": gnp(12, 0.3, 2),
+        "BipartiteGraph": bip,
+        "WeightedGraph": WeightedGraph(12, bip.edges, w),
+        "WeightedBipartiteGraph": WeightedBipartiteGraph(6, 6, bip.edges, w),
+        "CapacitatedBipartiteGraph": CapacitatedBipartiteGraph(
+            6, 6, bip.edges, w, np.full(6, 2)),
+    }
 
 
 def reference(solver: str, seed: int, k: int = 4, **params):
@@ -217,14 +244,13 @@ class TestPartitionViews:
                 ))
                 after = set(os.listdir("/dev/shm"))
                 stats = await client.stats()
-                return (docs, after - before, stats["store"],
-                        server.store.max_views_per_graph)
+                return docs, after - before, stats["store"]
 
-        docs, appeared, store, bound = run_async(main())
+        docs, appeared, store = run_async(main())
         assert all(doc["result"]["verified"] for doc in docs)
         assert appeared == set()
         assert store["views_created"] == len(seeds)
-        assert store["partition_views"] <= bound
+        assert store["partition_views"] <= MAX_VIEWS_PER_GRAPH
 
 
 # --------------------------------------------------------------------- #
@@ -421,7 +447,7 @@ class TestValidation:
         cases = {}
 
         async def main():
-            async with serve_harness(graphs=DEMO) as (_, client):
+            async with serve_harness(graphs=DEMO + TYPED) as (_, client):
                 async def probe(name, method, path, doc=None):
                     status, parsed = await client.request(method, path, doc)
                     cases[name] = (status, (parsed or {}).get("error", {}))
@@ -452,6 +478,16 @@ class TestValidation:
                             {"id": "a/b", "source": "gnp:n=10"})
                 await probe("bad_source", "POST", "/graphs",
                             {"id": "g", "source": "nosuchgen:n=10"})
+                await probe("weighted_bipartite_weighted_solver", "POST",
+                            "/solve", {"graph": "ba",
+                                       "solver": "matching.weighted_coreset",
+                                       "k": 4})
+                before = (await client.stats())["batcher"]["requests"]
+                await probe("capacitated_plain_solver", "POST", "/solve",
+                            {"graph": "adwords",
+                             "solver": "matching.coreset", "k": 4})
+                after = (await client.stats())["batcher"]["requests"]
+                cases["capacitated_plain_solver_barriers"] = after - before
 
         run_async(main())
         return cases
@@ -470,12 +506,45 @@ class TestValidation:
         ("empty_body", 400, "bad_request"),
         ("bad_graph_id", 400, "bad_request"),
         ("bad_source", 400, "bad_request"),
+        # The facade's capability rule: edge weights on a bipartite
+        # container serve a weighted solver, and a capacitated graph is
+        # refused by a solver that would ignore its capacities.
+        ("weighted_bipartite_weighted_solver", 200, None),
+        ("capacitated_plain_solver", 400, "bad_request"),
     ])
     def test_error_table(self, errors, case, status, code):
         got_status, error = errors[case]
         assert got_status == status
         assert error.get("code") == code
-        assert error.get("message")
+        assert bool(error.get("message")) == (code is not None)
+
+    def test_capability_refusal_costs_no_barrier(self, errors):
+        _, error = errors["capacitated_plain_solver"]
+        assert "ignores capacities" in error["message"]
+        assert errors["capacitated_plain_solver_barriers"] == 0
+
+    def test_precheck_refuses_exactly_what_solve_refuses(self):
+        """For every registered solver and every graph type, serve's
+        precheck and ``solve()`` accept the same pairs."""
+        from repro.serve.app import ReproServer
+        from repro.serve.protocol import BadRequest
+        from repro.solve.registry import SolverCapabilityError, all_solvers
+
+        by_serve, by_solve = set(), set()
+        for kind, graph in _tiny_graphs().items():
+            for spec in all_solvers():
+                try:
+                    ReproServer._precheck(spec, graph, 2, {})
+                except BadRequest:
+                    by_serve.add((spec.name, kind))
+                try:
+                    solve(graph, spec.name, RunContext(seed=0, k=2))
+                except SolverCapabilityError:
+                    by_solve.add((spec.name, kind))
+        assert by_serve == by_solve
+        assert ("matching.coreset", "CapacitatedBipartiteGraph") in by_solve
+        assert ("matching.weighted_coreset",
+                "WeightedBipartiteGraph") not in by_solve
 
     def test_malformed_json_is_a_400_not_a_crash(self):
         async def main():

@@ -1,9 +1,11 @@
 """``repro serve`` under faults: crashing workers, dying clients, SIGTERM.
 
 These run the **processes** executor — the deployment shape, where solver
-code lives in a worker pool and graphs ship as shared-memory handles —
-and drive the same env-triggered chaos hooks as the remote-executor
-suite (``repro.dist.faults``).
+code lives in a worker pool and each graph is pinned in shared memory,
+tasks carrying only a reference to it — and drive the same env-triggered
+chaos hooks as the remote-executor suite (``repro.dist.faults``).  The
+pinned transport itself is checked first: every graph type is served
+bit-identically to an in-process solve, from tasks of under 1 KiB.
 
 Choreography matters (see :func:`chaos.serve_harness`): the pool spawns
 when the server is constructed and workers inherit the environment at
@@ -16,7 +18,9 @@ them clean.
 from __future__ import annotations
 
 import asyncio
+import json
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -26,10 +30,68 @@ import pytest
 
 from chaos import chaos, run_async, serve_harness
 from repro.serve import ServeClient, ServeClientError
+from repro.solve import RunContext, get_solver, solve
+from repro.solve.graphs import load_graph
 
 REPO = Path(__file__).resolve().parents[1]
 DEMO = (("demo", "planted:n=300,p=0.03", 11),)
 PROC = dict(executor="processes", workers=2)
+
+
+# --------------------------------------------------------------------- #
+# the pinned transport
+# --------------------------------------------------------------------- #
+#: (graph id, source, seed, solver): one graph of each type.
+TYPED = (
+    ("plain", "gnp:n=200,p=0.05", 1, "matching.coreset"),
+    ("bipartite", "planted:n=300,p=0.03", 11, "vertex_cover.coreset"),
+    ("weighted", "weighted:n=400", 7, "matching.weighted_coreset"),
+    ("weighted_bipartite", "workload:ba:weights=uniform", 0,
+     "matching.weighted_coreset"),
+    ("capacitated", "workload:ba_adwords", 0, "matching.b_coreset"),
+)
+
+
+def _canonical(result_doc):
+    """A result document's bytes, less its wall time."""
+    doc = {k: v for k, v in result_doc.items() if k != "wall_time_s"}
+    return json.dumps(doc, sort_keys=True).encode()
+
+
+class TestPinnedTransport:
+    def test_every_graph_type_served_bit_identical(self):
+        """Each graph type, pinned on a process pool, is served
+        byte-identically to an in-process ``solve()``, and the task that
+        carries it pickles to under 1 KiB whatever its size."""
+        async def main():
+            async with serve_harness(
+                    graphs=tuple(entry[:3] for entry in TYPED),
+                    **PROC) as (server, client):
+                docs = await asyncio.gather(*(
+                    client.solve(graph_id, solver=name, seed=seed, k=4,
+                                 certificate=True)
+                    for graph_id, _, _, name in TYPED for seed in (0, 3)
+                ))
+                task_bytes = {
+                    graph_id: len(pickle.dumps(server._make_task(
+                        server.store.get(graph_id), get_solver(name), 0, 4,
+                        {}, True, False)))
+                    for graph_id, _, _, name in TYPED
+                }
+                return docs, task_bytes, await client.stats()
+
+        docs, task_bytes, stats = run_async(main())
+        sources = {entry[0]: entry[1:3] for entry in TYPED}
+        for doc in docs:
+            source, graph_seed = sources[doc["graph"]]
+            want = solve(load_graph(source, rng=graph_seed), doc["solver"],
+                         RunContext(seed=doc["seed"], k=4))
+            assert doc["result"]["verified"]
+            assert _canonical(doc["result"]) == _canonical(
+                want.to_dict(include_certificate=True))
+        assert all(size < 1024 for size in task_bytes.values()), task_bytes
+        assert stats["executor"]["ship_handles"] is True
+        assert stats["store"]["views_created"] == 0
 
 
 # --------------------------------------------------------------------- #
