@@ -49,7 +49,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-__all__ = ["main", "build_parser"]
+__all__ = ["add_bench_arguments", "build_parser", "main"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,10 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
         "bench",
         help="time the executor substrate and write BENCH_substrate.json",
     )
-    # One source of truth for the flags: the bench module declares them for
-    # this subcommand and for its standalone entry point alike.
-    from repro.experiments.bench import add_bench_arguments
-
     add_bench_arguments(b)
 
     r = sub.add_parser("report", help="stitch archived benchmark tables "
@@ -311,6 +307,29 @@ def build_parser() -> argparse.ArgumentParser:
                         "(useful to tell hosts apart in diagnostics)")
 
     return parser
+
+
+def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the bench flags on ``parser``.
+
+    The one declaration: the ``repro bench`` subcommand and the standalone
+    :func:`repro.experiments.bench.main` both call it, so the two entry
+    points cannot drift.  It lives here, not in the bench module, so that
+    building the parser does not import the ``repro.experiments`` package.
+    """
+    parser.add_argument("--quick", action="store_true",
+                        help="small scenario sizes (the CI smoke mode)")
+    parser.add_argument("--out", default="BENCH_substrate.json",
+                        metavar="PATH",
+                        help="artifact path (default: %(default)s; "
+                             "'-' skips writing)")
+    parser.add_argument("--workers", type=int, default=None,
+                        help="pool worker count (default: min(cpus, 8))")
+    parser.add_argument("--repeats", type=int, default=None,
+                        help="override rounds per variant")
+    parser.add_argument("--check", action="store_true",
+                        help="exit 1 unless persistent >= cold throughput "
+                             "and all outputs are bit-identical")
 
 
 def _add_executor_flags(sub: argparse.ArgumentParser) -> None:

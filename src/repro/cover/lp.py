@@ -12,8 +12,6 @@ Uses ``scipy.optimize.linprog`` (HiGHS) on a sparse constraint matrix.
 from __future__ import annotations
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from repro.graph.edgelist import Graph
 
@@ -21,6 +19,11 @@ __all__ = ["lp_cover", "lp_lower_bound", "lp_solution"]
 
 
 def _solve_lp(graph: Graph) -> np.ndarray:
+    # Imported here so that processes which never solve the LP (every
+    # coreset solve reaches this module) do not load scipy.optimize.
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     m, n = graph.n_edges, graph.n_vertices
     if m == 0:
         return np.zeros(n, dtype=np.float64)

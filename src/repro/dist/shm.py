@@ -26,7 +26,13 @@ late as a result that aliases the graph requires.  Until then a worker
 keeps its most recent graph mapped, also after the owner unlinked it;
 POSIX keeps such a mapping valid.  If the owner dies without closing, the
 interpreter's resource tracker reclaims its shm segments — a worker crash
-therefore cannot leak segments past the owning process.
+therefore cannot leak segments past the owning process.  The ``mmap``
+backend has no tracker; instead its owner holds an exclusive ``flock`` on
+its ``repro-edges-*.bin`` temp file for the pin's life, and the kernel
+drops that lock however the owner exits.  Every new ``mmap`` pin first
+unlinks each such non-empty file whose lock it can take, so a file
+orphaned by a dead owner lasts until the next ``mmap`` pin that uses the
+same temp directory.
 
 The segment backend follows ``$REPRO_SHM_BACKEND`` (``shm`` where
 available, else ``mmap``).
@@ -34,6 +40,8 @@ available, else ``mmap``).
 
 from __future__ import annotations
 
+import fcntl
+import glob
 import itertools
 import os
 import tempfile
@@ -289,27 +297,62 @@ class ResidentPin:
         self._finalizer()
 
 
+_MMAP_PREFIX, _MMAP_SUFFIX = "repro-edges-", ".bin"
+
+
 def _new_segment(backend: str, size: int) -> Tuple[Any, str, Any]:
-    """Allocate ``size`` bytes: ``(segment, name, writable buffer)``."""
+    """Allocate ``size`` bytes: ``(segment, name, writable buffer)``.
+
+    An ``mmap`` segment is ``(path, fd)``: ``fd`` holds the file's lock
+    until :func:`_unlink`.  The file is locked before it is sized, so the
+    sweep, which skips empty files, never takes one still being created.
+    """
     if backend == "shm":
         seg = _shared_memory.SharedMemory(create=True, size=size)
         return seg, seg.name, seg.buf
-    fd, path = tempfile.mkstemp(prefix="repro-edges-", suffix=".bin")
-    os.close(fd)
-    return path, path, np.memmap(path, dtype=np.uint8, mode="w+",
-                                 shape=(size,))
+    _sweep_orphans()
+    fd, path = tempfile.mkstemp(prefix=_MMAP_PREFIX, suffix=_MMAP_SUFFIX)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)  # blocks only while a sweep checks it
+        buf = np.memmap(path, dtype=np.uint8, mode="w+", shape=(size,))
+    except BaseException:
+        _unlink((path, fd))
+        raise
+    return (path, fd), path, buf
+
+
+def _sweep_orphans() -> None:
+    """Unlink every ``mmap`` segment file whose owner is gone: a non-empty
+    one whose lock this process can take."""
+    pattern = os.path.join(tempfile.gettempdir(),
+                           f"{_MMAP_PREFIX}*{_MMAP_SUFFIX}")
+    for path in glob.glob(pattern):
+        try:
+            fd = os.open(path, os.O_RDONLY)
+        except OSError:  # gone already, or another user's
+            continue
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            if os.fstat(fd).st_size:
+                os.unlink(path)
+        except OSError:  # a live owner holds it, or it is gone
+            pass
+        finally:
+            os.close(fd)
 
 
 def _unlink(segment: Any) -> None:
-    """Remove a pin's segment: a ``SharedMemory``, a temp-file path, or
-    ``None`` for a graph that needed none."""
+    """Remove a pin's segment: a ``SharedMemory``, an ``mmap`` temp file's
+    ``(path, fd)``, or ``None`` for a graph that needed none."""
     if segment is None:
         return
-    if isinstance(segment, str):  # mmap temp file
+    if isinstance(segment, tuple):  # mmap temp file and its lock
+        path, fd = segment
         try:
-            os.unlink(segment)
+            os.unlink(path)
         except OSError:  # pragma: no cover - already gone
             pass
+        os.close(fd)
         return
     # Unlink before close: unlinking needs no buffer release, so the
     # segment is reclaimed even if a caller still holds a view (existing

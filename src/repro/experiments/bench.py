@@ -60,11 +60,11 @@ from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.cli import add_bench_arguments
 from repro.utils.provenance import provenance_stamp
 
 __all__ = [
     "BENCH_SCHEMA_VERSION",
-    "add_bench_arguments",
     "main",
     "run_from_args",
     "run_substrate_bench",
@@ -438,30 +438,9 @@ def _format_summary(doc: Dict[str, Any]) -> str:
     return "\n".join(lines)
 
 
-def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
-    """Declare the bench flags on ``parser``.
-
-    The single source of truth for the interface: the ``repro bench``
-    subcommand and this module's standalone ``main`` both call it, so the
-    two entry points cannot drift.
-    """
-    parser.add_argument("--quick", action="store_true",
-                        help="small scenario sizes (the CI smoke mode)")
-    parser.add_argument("--out", default="BENCH_substrate.json",
-                        metavar="PATH",
-                        help="artifact path (default: %(default)s; "
-                             "'-' skips writing)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="pool worker count (default: min(cpus, 8))")
-    parser.add_argument("--repeats", type=int, default=None,
-                        help="override rounds per variant")
-    parser.add_argument("--check", action="store_true",
-                        help="exit 1 unless persistent >= cold throughput "
-                             "and all outputs are bit-identical")
-
-
 def run_from_args(args: argparse.Namespace) -> int:
-    """Execute the bench from parsed :func:`add_bench_arguments` flags."""
+    """Execute the bench from parsed
+    :func:`repro.cli.add_bench_arguments` flags."""
     if args.workers is not None:
         from repro.dist.executor import validate_workers
 

@@ -6,16 +6,22 @@ the partition reuse contract the server's view cache relies on.
 The load-bearing properties: a graph rebuilt from its segment is
 bit-identical to the pinned one, of the same type, on both segment
 backends; the segment is gone after close() or collection (no leaks, even
-when a worker crashes mid-barrier); and a partition built once can be
-handed to several solvers without changing any result.
+when a worker crashes mid-barrier, and an ``mmap`` file whose owner died
+goes at the next pin); and a partition built once can be handed to
+several solvers without changing any result.
 """
 
 import gc
 import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.dist.executor import ProcessExecutor, WorkerPoolBrokenError
 from repro.dist.shm import SHM_BACKEND_ENV, ResidentPin
 from repro.graph.bipartite import BipartiteGraph
@@ -65,6 +71,17 @@ def _graph_of(kind):
 def _open_then_crash(ref):
     ref.open()
     os._exit(17)
+
+
+#: Pins a graph and dies without closing the pin.
+_PIN_THEN_DIE = """
+import os
+from repro.dist.shm import ResidentPin
+from repro.graph.generators import gnp
+pin = ResidentPin(gnp(100, 0.1, 0))
+print(pin.ref.name, flush=True)
+os._exit(0)
+"""
 
 
 @pytest.fixture(params=BACKENDS)
@@ -155,6 +172,35 @@ class TestPinLifecycle:
         assert type(view) is type(g) and view == g
         assert view.edges.shape == (0, 2)
         pin.close()
+
+    def test_mmap_file_of_a_dead_owner_is_swept(self, monkeypatch, tmp_path):
+        """An owner that dies without close() leaves its temp file; the
+        next mmap pin removes it, and never a live owner's file nor one
+        still being created (locked only once it is sized)."""
+        monkeypatch.setenv(SHM_BACKEND_ENV, "mmap")
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        env = {**os.environ, "TMPDIR": str(tmp_path),
+               "PYTHONPATH": str(Path(repro.__file__).resolve().parents[1])}
+        orphan = subprocess.run(
+            [sys.executable, "-c", _PIN_THEN_DIE], env=env, check=True,
+            capture_output=True, text=True, timeout=120).stdout.strip()
+        assert Path(orphan).parent == tmp_path and os.path.getsize(orphan)
+        creating = tmp_path / "repro-edges-creating.bin"
+        creating.touch()
+        g = _graph_of("weighted")
+        live = ResidentPin(g)
+        try:
+            assert not os.path.exists(orphan)
+            assert creating.exists()
+            second = ResidentPin(g)
+            try:
+                assert os.path.exists(live.ref.name)
+                assert live.ref.open() == g
+            finally:
+                second.close()
+        finally:
+            live.close()
+        assert not os.path.exists(live.ref.name)
 
     def test_worker_crash_does_not_leak_segments(self):
         """A worker dying mid-barrier, with the graph attached, must not

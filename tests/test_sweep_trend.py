@@ -2,6 +2,7 @@
 hardened artifact ingestion (malformed files warn-and-skip)."""
 
 import json
+import subprocess
 
 import pytest
 
@@ -262,6 +263,23 @@ class TestTrendCLI:
         assert "does not exist" in capsys.readouterr().err
 
 
+@pytest.fixture
+def git_checkout(tmp_path):
+    """A fresh one-commit repository and its HEAD, so the provenance
+    checks hold whether or not the test tree itself is a checkout."""
+    repo = tmp_path / "checkout"
+    repo.mkdir()
+    (repo / "README").write_text("provenance fixture\n")
+    git = ["git", "-c", "user.name=repro", "-c", "user.email=repro@localhost",
+           "-c", "commit.gpgsign=false"]
+    for args in (["init", "-q"], ["add", "README"],
+                 ["commit", "-q", "-m", "fixture"]):
+        subprocess.run(git + args, cwd=repo, check=True, capture_output=True)
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo, check=True,
+                          capture_output=True, text=True).stdout.strip()
+    return repo, head
+
+
 class TestProvenance:
     def test_stamp_shape(self):
         stamp = provenance_stamp()
@@ -269,26 +287,30 @@ class TestProvenance:
                               "git_dirty"}
         assert set(stamp["host"]) == {"python", "platform", "cpu_count"}
 
-    def test_git_state_in_checkout(self):
-        commit, dirty = git_state()
-        # The test tree is a git checkout, so both fields resolve.
-        assert isinstance(commit, str) and len(commit) == 40
-        assert int(commit, 16) >= 0
-        assert isinstance(dirty, bool)
+    def test_git_state_in_checkout(self, git_checkout):
+        repo, head = git_checkout
+        commit, dirty = git_state(repo)
+        assert len(commit) == 40 and int(commit, 16) >= 0
+        assert (commit, dirty) == (head, False)
+        (repo / "README").write_text("changed\n")
+        assert git_state(repo) == (head, True)
 
     def test_git_state_outside_checkout(self, tmp_path):
         assert git_state(tmp_path) == (None, None)
 
-    def test_run_artifacts_carry_provenance(self, tmp_path):
+    def test_run_artifacts_carry_provenance(self, git_checkout, tmp_path,
+                                            monkeypatch):
         from repro.experiments.registry import get_experiment
 
+        repo, head = git_checkout
+        monkeypatch.chdir(repo)  # the artifact writer stamps the cwd
         table = get_experiment("e1").run(
             n_values=(200,), k_values=(2,), n_trials=1,
-            archive_dir=tmp_path)
+            archive_dir=tmp_path / "runs")
         doc = load_artifact(table.artifact_path)
         assert doc["schema_version"] == ARTIFACT_SCHEMA_VERSION == 3
         assert len(doc["git_commit"]) == 40
-        assert isinstance(doc["git_dirty"], bool)
+        assert (doc["git_commit"], doc["git_dirty"]) == (head, False)
         assert set(doc["host"]) == {"python", "platform", "cpu_count"}
 
     def test_bench_schema_is_provenance_generation(self):
