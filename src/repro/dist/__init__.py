@@ -92,12 +92,15 @@ from repro.dist.mapreduce import (
     RoundRecord,
 )
 from repro.dist.message import Message
-from repro.dist.remote import (
-    RemoteDegradedWarning,
-    RemoteExecutor,
-    RemotePieceCache,
-    RemoteTaskError,
-)
+
+#: Names served from :mod:`repro.dist.remote` on first access (PEP 562):
+#: the socket backend is imported only by a process that uses it.
+_REMOTE_NAMES = frozenset({
+    "RemoteDegradedWarning",
+    "RemoteExecutor",
+    "RemotePieceCache",
+    "RemoteTaskError",
+})
 
 __all__ = [
     "CommunicationLedger",
@@ -125,3 +128,11 @@ __all__ = [
     "resolve_executor",
     "run_simultaneous",
 ]
+
+
+def __getattr__(name: str):
+    if name in _REMOTE_NAMES:
+        from repro.dist import remote
+
+        return getattr(remote, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -34,6 +34,7 @@ from repro.dist.message import Message
 from repro.dist.shm import ResidentGraph
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.edgelist import Graph
+from repro.graph.partition import SeededRecipe
 from repro.utils.rng import RandomState, spawn_generators
 
 __all__ = [
@@ -235,12 +236,17 @@ def run_simultaneous(
         # A lone machine's piece is the whole graph, and a lone task runs
         # inline until a pool exists: it carries the graph itself.
         ref = backend.resident(graph) if k > 1 else graph
+        recipes = [partition.recipe(i) for i in range(k)]
         tasks = [
-            (ref, partition.recipe(i), i, gens[i], protocol.summarizer,
-             public)
+            (ref, recipes[i], i, gens[i], protocol.summarizer, public)
             for i in range(k)
         ]
-        messages: List[Message] = backend.map(_summarize_machine, tasks)
+        # A random partition's pieces are about the same size, so its
+        # machines need no balancing; an explicit partition's may not be.
+        messages: List[Message] = backend.map(
+            _summarize_machine, tasks,
+            equal_cost=all(isinstance(r, SeededRecipe) for r in recipes),
+        )
     finally:
         if owns_backend:
             backend.close()

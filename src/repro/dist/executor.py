@@ -153,8 +153,16 @@ class Executor:
         self._closed = False
 
     # ------------------------------------------------------------------ #
-    def map(self, fn: Callable[[Any], Any], tasks: Iterable[Any]) -> List[Any]:
-        """Apply ``fn`` to every task; return results in input order."""
+    def map(self, fn: Callable[[Any], Any], tasks: Iterable[Any], *,
+            equal_cost: bool = False) -> List[Any]:
+        """Apply ``fn`` to every task; return results in input order.
+
+        ``equal_cost`` is the caller's word that the tasks cost about the
+        same (the machines of a random partition), so a pool need not
+        balance them: :class:`ProcessExecutor` then hands each worker one
+        block of consecutive tasks.  It changes scheduling only, never
+        results, and a backend may ignore it.
+        """
         raise NotImplementedError
 
     def resident(self, graph: Any) -> Any:
@@ -223,7 +231,8 @@ class SerialExecutor(Executor):
 
     name = "serial"
 
-    def map(self, fn: Callable[[Any], Any], tasks: Iterable[Any]) -> List[Any]:
+    def map(self, fn: Callable[[Any], Any], tasks: Iterable[Any], *,
+            equal_cost: bool = False) -> List[Any]:
         self._ensure_open()
         return [fn(t) for t in tasks]
 
@@ -265,7 +274,8 @@ class ProcessExecutor(Executor):
         #: persistence and discard/replace contracts (§6).
         self.pools_created = 0
 
-    def map(self, fn: Callable[[Any], Any], tasks: Iterable[Any]) -> List[Any]:
+    def map(self, fn: Callable[[Any], Any], tasks: Iterable[Any], *,
+            equal_cost: bool = False) -> List[Any]:
         self._ensure_open()
         tasks = list(tasks)
         self._check_picklable("task function", fn)
@@ -276,8 +286,13 @@ class ProcessExecutor(Executor):
             for i, t in enumerate(tasks):
                 self._check_picklable(f"task {i}", t)
             return [fn(t) for t in tasks]
+        # Tasks of equal cost go out as one call item per worker, each
+        # carrying ceil(n / W) consecutive tasks: W pool round trips, not
+        # n.  Any other map goes task by task, so a worker that finishes
+        # early takes the next one.
+        chunk = max(1, -(-len(tasks) // self.max_workers)) if equal_cost else 1
         try:
-            return list(self._ensure_pool().map(fn, tasks))
+            return list(self._ensure_pool().map(fn, tasks, chunksize=chunk))
         except BrokenProcessPool as exc:
             self._discard_pool()
             raise WorkerPoolBrokenError(
@@ -286,7 +301,8 @@ class ProcessExecutor(Executor):
                 "next map() call will start a fresh one"
             ) from exc
         except pickle.PicklingError as exc:
-            raise UnpicklableTaskError(self._advice("a task", exc)) from exc
+            culprit = self._first_unpicklable(tasks) or "a task"
+            raise UnpicklableTaskError(self._advice(culprit, exc)) from exc
         except (AttributeError, TypeError) as exc:
             # Structured disambiguation, not message sniffing: besides
             # PicklingError, pickle signals failures as AttributeError or

@@ -990,13 +990,14 @@ class RemoteExecutor(Executor):
             self.pools_created += 1
         return self._pool.address if self._pool is not None else None
 
-    def map(self, fn: Callable[[Any], Any], tasks: Iterable[Any]) -> List[Any]:
+    def map(self, fn: Callable[[Any], Any], tasks: Iterable[Any], *,
+            equal_cost: bool = False) -> List[Any]:
         self._ensure_open()
         tasks = list(tasks)
         if not tasks:
             return []
         if self._fallback is not None:
-            return self._fallback.map(fn, tasks)
+            return self._fallback.map(fn, tasks, equal_cost=equal_cost)
         if len(tasks) <= 1 and self._pool is None:
             # One task gains nothing from a worker fleet, but the pickle
             # contract still holds so behavior is task-count-independent.
@@ -1005,7 +1006,7 @@ class RemoteExecutor(Executor):
             return [fn(t) for t in tasks]
         pool = self._ensure_pool()
         if pool is None:  # degraded while ensuring
-            return self._fallback.map(fn, tasks)
+            return self._fallback.map(fn, tasks, equal_cost=equal_cost)
         self.piece_cache.begin_barrier()
         payloads = [
             self._serialize(fn, task, i, cache=self.piece_cache)

@@ -58,7 +58,8 @@ def greedy_maximal_matching(
             )
         perm = np.argsort(priority, kind="stable")
     elif order == "input":
-        perm = np.arange(e.shape[0])
+        # The columns themselves: an identity permutation would copy both.
+        return _greedy_in_order(graph.n_vertices, e[:, 0], e[:, 1])
     elif order == "random":
         perm = as_generator(rng).permutation(e.shape[0])
     elif order == "adversarial_key":
@@ -120,6 +121,10 @@ def _rounds_then_scan(
     the same ``taken`` state.  Rounds stop once one removes less than half
     of the live edges.  The matched positions, sorted, are the scan's rows
     in the scan's order.
+
+    Each round turns its winner and survivor masks into index arrays once
+    (``flatnonzero``) and indexes with those: a boolean mask is counted
+    and branched over again by every array it compresses.
     """
     m = eu.shape[0]
     taken = np.zeros(n_vertices, dtype=bool)
@@ -131,11 +136,11 @@ def _rounds_then_scan(
         best.fill(m)
         np.minimum.at(best, lu, live)
         np.minimum.at(best, lv, live)
-        win = (best[lu] == live) & (best[lv] == live)
+        win = np.flatnonzero((best[lu] == live) & (best[lv] == live))
         won.append(live[win])
         taken[lu[win]] = True
         taken[lv[win]] = True
-        keep = ~(taken[lu] | taken[lv])
+        keep = np.flatnonzero(~(taken[lu] | taken[lv]))
         before = live.size
         live, lu, lv = live[keep], lu[keep], lv[keep]
         if 2 * live.size > before:

@@ -108,6 +108,10 @@ from repro.solve.registry import (
 
 __all__ = ["ReproServer", "ServeConfig", "serve_main"]
 
+#: Seconds :meth:`ReproServer.aclose` gives connections with a request in
+#: flight to write their responses before it cuts them off.
+DRAIN_GRACE_S = 5.0
+
 _REASONS = {
     200: "OK", 201: "Created", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 409: "Conflict", 413: "Payload Too Large",
@@ -220,6 +224,9 @@ class ReproServer:
         self._draining = False
         self._closed = False
         self._conn_tasks: set = set()
+        #: Connection handlers waiting for their next request line, with
+        #: their writers: :meth:`aclose` closes these at once.
+        self._idle: Dict[asyncio.Task, asyncio.StreamWriter] = {}
         self.requests_total = 0
         self.errors_total = 0
         self.route_counts: Dict[str, int] = {}
@@ -242,25 +249,29 @@ class ReproServer:
     async def aclose(self) -> None:
         """Stop accepting, drain in-flight batches, release everything.
 
-        Idempotent.  Queued requests either run to completion or get
-        structured 503s (if the breaker is open); connections that are
-        mid-response get a bounded grace period to finish writing before
-        being cancelled."""
+        Idempotent.  Idle keep-alive connections are closed at once: they
+        have nothing to answer.  Queued requests either run to completion
+        or get structured 503s (if the breaker is open), and each
+        connection closes after its response; a connection still
+        mid-request after a bounded grace period is cut off."""
         if self._closed:
             return
         self._closed = True
         self._draining = True
         if self._server is not None:
             self._server.close()
+        # A handler checks ``_draining`` before it waits for a request
+        # line, so no connection turns idle after this.
+        for writer in list(self._idle.values()):
+            writer.close()
         await self.batcher.drain()
         me = asyncio.current_task()
         pending = [t for t in self._conn_tasks
                    if t is not me and not t.done()]
         if pending:
             # The drain resolved every queued future; give the handler
-            # coroutines a moment to write those responses out, then cut
-            # off idle keep-alive connections.
-            await asyncio.wait(pending, timeout=5.0)
+            # coroutines a moment to write those responses out.
+            await asyncio.wait(pending, timeout=DRAIN_GRACE_S)
             for task in pending:
                 if not task.done():
                     task.cancel()
@@ -293,8 +304,28 @@ class ReproServer:
         if task is not None:
             self._conn_tasks.add(task)
         try:
-            while True:
-                request_line = await reader.readline()
+            await self._converse(task, reader, writer)
+        except asyncio.CancelledError:
+            # aclose() cuts a connection off once its grace is over, and
+            # it ends like one whose client went away.  Any other
+            # cancellation propagates.
+            if not self._closed:
+                raise
+        finally:
+            if task is not None:
+                self._conn_tasks.discard(task)
+
+    async def _converse(self, task: Optional[asyncio.Task],
+                        reader: asyncio.StreamReader,
+                        writer: asyncio.StreamWriter) -> None:
+        """Answer requests on one connection until it closes."""
+        try:
+            while not self._draining:
+                self._idle[task] = writer
+                try:
+                    request_line = await reader.readline()
+                finally:
+                    del self._idle[task]
                 if not request_line:
                     return
                 parts = request_line.decode("latin-1").split()
@@ -326,6 +357,9 @@ class ReproServer:
                 status, doc, extra = await self._route(
                     method.upper(), raw_path, body
                 )
+                # A draining server closes each connection after its
+                # response, and says so.
+                keep = keep and not self._draining
                 self._write(writer, status, doc, keep, extra)
                 await writer.drain()
                 if not keep:
@@ -334,8 +368,6 @@ class ReproServer:
                 BrokenPipeError):
             pass  # client went away mid-request; nothing to answer
         finally:
-            if task is not None:
-                self._conn_tasks.discard(task)
             writer.close()
             with contextlib.suppress(Exception):
                 await writer.wait_closed()

@@ -16,6 +16,9 @@ correctness signal:
   first-occurrence indices, then a second argsort) and matching
   certificate (``np.isin`` over the whole edge-key array).  The current
   versions must return identical arrays and verdicts.
+* :func:`_baseline_uncovered_edges` — the vertex-cover certificate one
+  edge at a time over a Python set.  ``uncovered_edges`` must return its
+  rows, and ``is_vertex_cover`` must hold exactly when it is empty.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ __all__ = [
     "_baseline_graph_edges",
     "_baseline_is_matching",
     "_baseline_scan",
+    "_baseline_uncovered_edges",
     "augmenting_path_matching",
 ]
 
@@ -152,3 +156,12 @@ def _baseline_is_matching(graph, matching: np.ndarray) -> bool:
             e[:, 0], e[:, 1])
 
     return bool(np.isin(keys(m), keys(graph.edges)).all())
+
+
+def _baseline_uncovered_edges(graph, cover) -> np.ndarray:
+    """The edges of ``graph`` with neither endpoint in ``cover``, in edge
+    order, tested one edge at a time against a Python set."""
+    chosen = set(int(x) for x in np.asarray(cover).ravel().tolist())
+    rows = [(u, v) for u, v in graph.edges.tolist()
+            if u not in chosen and v not in chosen]
+    return np.asarray(rows, dtype=np.int64).reshape(-1, 2)

@@ -132,6 +132,120 @@ class TestMapOrder:
 
 
 # --------------------------------------------------------------------- #
+# tasks of equal cost: one pool call per worker
+# --------------------------------------------------------------------- #
+def _draw(i):
+    return i, np.random.default_rng(i).bytes(32)
+
+
+def _pid(_):
+    return os.getpid()
+
+
+def _exit_on(flag):
+    if flag:
+        os._exit(13)
+    return flag
+
+
+#: A lambda bound at module level: pickle looks it up by its name,
+#: ``<lambda>``, and raises ``PicklingError``.
+_MODULE_LAMBDA = lambda: 6  # noqa: E731
+
+
+def _count_submits(ex):
+    """Start ``ex``'s pool and record every call item it is handed."""
+    pool = ex._ensure_pool()
+    submitted = []
+    submit = pool.submit
+
+    def counting_submit(fn, *args, **kwargs):
+        submitted.append(args)
+        return submit(fn, *args, **kwargs)
+
+    pool.submit = counting_submit
+    return submitted
+
+
+class TestEqualCostBlocks:
+    """``map(..., equal_cost=True)`` hands a process pool one call item per
+    worker, carrying ceil(n / W) consecutive tasks; every other map goes
+    task by task.  The map contract is the same either way."""
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_results_in_input_order_and_identical_to_serial(self, workers):
+        with ProcessExecutor(max_workers=workers) as ex:
+            ex.map(_square, range(workers))  # the pooled path from here on
+            for n in (0, 1, workers - 1, workers, workers + 1, 8):
+                tasks = list(range(100, 100 + n))
+                assert ex.map(_draw, tasks, equal_cost=True) == \
+                    SerialExecutor().map(_draw, tasks)
+
+    def test_eight_tasks_on_two_workers_are_two_pool_calls(self):
+        with ProcessExecutor(max_workers=2) as ex:
+            submitted = _count_submits(ex)
+            pids = ex.map(_pid, range(8), equal_cost=True)
+        assert len(submitted) == 2
+        assert len(set(pids[:4])) == 1
+        assert len(set(pids[4:])) == 1
+        assert os.getpid() not in pids
+
+    def test_other_maps_go_task_by_task(self):
+        with ProcessExecutor(max_workers=2) as ex:
+            submitted = _count_submits(ex)
+            assert ex.map(_square, range(8)) == [i * i for i in range(8)]
+        assert len(submitted) == 8
+
+    def test_one_task_still_runs_inline(self):
+        with ProcessExecutor(max_workers=2) as ex:
+            assert ex.map(_pid, [0], equal_cost=True) == [os.getpid()]
+            assert ex.pools_created == 0
+
+    def test_worker_killed_mid_block_breaks_only_that_map(self):
+        from repro.dist.executor import WorkerPoolBrokenError
+
+        with ProcessExecutor(max_workers=2) as ex:
+            # Task 2 ends the process running tasks 0-3 after two of them.
+            with pytest.raises(WorkerPoolBrokenError):
+                ex.map(_exit_on, [False, False, True] + [False] * 5,
+                       equal_cost=True)
+            assert ex.map(_square, range(8), equal_cost=True) == [
+                i * i for i in range(8)]
+            assert ex.pools_created == 2
+
+    def test_unpicklable_task_inside_a_block_is_named(self):
+        with ProcessExecutor(max_workers=2) as ex:
+            ex.map(_square, range(2))  # the pooled path from here on
+            # A lambda at module level fails with PicklingError, a local
+            # closure with AttributeError: both are named.
+            for bad in (_MODULE_LAMBDA, lambda: 6):
+                tasks = [1, 2, 3, 4, 5, bad, 7, 8]
+                with pytest.raises(UnpicklableTaskError,
+                                   match=r"cannot ship task 5 \(<function"):
+                    ex.map(_square, tasks, equal_cost=True)
+            assert ex.map(_square, range(4), equal_cost=True) == [0, 1, 4, 9]
+
+    @pytest.mark.parametrize("kind, blocks", [
+        ("random", True), ("explicit", False), ("vertex", False)])
+    def test_engine_blocks_only_a_random_partition(self, kind, blocks):
+        """The machines of a random partition cost about the same; an
+        explicit or vertex partition's pieces may not, so they keep the
+        pool's balancing."""
+        class Recording(ProcessExecutor):
+            def map(self, fn, tasks, **kw):
+                self.equal_cost = kw.get("equal_cost", False)
+                return super().map(fn, tasks, **kw)
+
+        graph = _graph_of("bipartite")
+        protocol = SimultaneousProtocol("echo", _echo_summarizer,
+                                        _union_combine)
+        with Recording(max_workers=2) as ex:
+            run_simultaneous(protocol, _partition_of(kind, graph), rng=3,
+                             executor=ex)
+        assert ex.equal_cost is blocks
+
+
+# --------------------------------------------------------------------- #
 # determinism across backends
 # --------------------------------------------------------------------- #
 class TestProtocolDeterminismAcrossBackends:
@@ -337,10 +451,10 @@ class TestResidentGraphTasks:
         from repro.graph.edgelist import Graph
 
         class Recording(ProcessExecutor):
-            def map(self, fn, tasks):
+            def map(self, fn, tasks, **kw):
                 tasks = list(tasks)
                 self.task_bytes = [len(pickle.dumps(t)) for t in tasks]
-                return super().map(fn, tasks)
+                return super().map(fn, tasks, **kw)
 
         rng = np.random.default_rng(3)
         sizes = {}

@@ -84,3 +84,29 @@ def test_cli_parser_loads_neither_experiments_nor_scipy():
     """)
     assert doc == {"bench": [True, "-", False], "experiments": [],
                    "scipy": []}
+
+
+def test_coreset_solve_loads_the_remote_backend_only_when_asked():
+    doc = _fresh("""
+        from repro.graph.edgelist import Graph
+        from repro.solve import RunContext, load_graph, solve
+
+        g = load_graph("skewed:n=400", rng=5)
+        g = Graph(g.n_vertices, g.edges)
+        local = solve(g, "vertex_cover.coreset",
+                      RunContext(seed=3, k=4, executor="serial"))
+        after_solve = loaded("repro.dist.remote")
+        from repro.dist import RemoteExecutor
+        from repro.dist import *  # noqa: F403 - every exported name resolves
+        remote = solve(g, "vertex_cover.coreset",
+                       RunContext(seed=3, k=4, executor="remote", workers=1))
+        print(json.dumps({
+            "after_solve": after_solve,
+            "backend": RemoteExecutor.__module__,
+            "star": RemoteTaskError.__name__,
+            "same": [remote.certificate.tolist() == local.certificate.tolist(),
+                     remote.stats["total_bits"] == local.stats["total_bits"]],
+        }))
+    """)
+    assert doc == {"after_solve": [], "backend": "repro.dist.remote",
+                   "star": "RemoteTaskError", "same": [True, True]}

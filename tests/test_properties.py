@@ -2,6 +2,7 @@
 paper's structural invariants."""
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
@@ -59,6 +60,25 @@ def raw_edge_lists(draw, max_n=30, max_m=120):
         max_size=max_m))
     e = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     return n, np.ascontiguousarray(e[:, 0]), np.ascontiguousarray(e[:, 1])
+
+
+@st.composite
+def rounds_graphs(draw):
+    """Canonical graphs at 2 to 3 edges per vertex: ``greedy_maximal_
+    matching`` runs the greedy rounds on them, and the rounds do most of
+    the work."""
+    n = draw(st.integers(min_value=7, max_value=40))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    m = draw(st.integers(2 * n, 3 * n))
+    chosen = draw(st.permutations(pairs))[:m]
+    return Graph(n, np.asarray(chosen, dtype=np.int64))
+
+
+def _columns(g):
+    """``(n, eu, ev)`` of a graph's canonical edge array."""
+    e = g.edges
+    return (g.n_vertices, np.ascontiguousarray(e[:, 0]),
+            np.ascontiguousarray(e[:, 1]))
 
 
 # --------------------------------------------------------------------- #
@@ -152,7 +172,8 @@ def test_sequential_scan_equals_baseline_scan(case, block):
 
 
 @SETTINGS
-@given(graphs(), st.integers(min_value=1, max_value=16))
+@given(st.one_of(graphs(), rounds_graphs()),
+       st.integers(min_value=1, max_value=16))
 def test_greedy_input_order_equals_baseline_scan(g, block):
     from unittest import mock
 
@@ -167,7 +188,7 @@ def test_greedy_input_order_equals_baseline_scan(g, block):
 
 
 @SETTINGS
-@given(raw_edge_lists())
+@given(st.one_of(raw_edge_lists(), rounds_graphs().map(_columns)))
 def test_rounds_then_scan_equals_baseline_scan(case):
     """The greedy rounds hand the scan's matching back row for row, in
     the scan's order, whether they finish it or hand off to the scan."""
@@ -216,6 +237,89 @@ def test_is_matching_equals_baseline(case):
 
     g, candidate = case
     assert is_matching(g, candidate) == _baseline_is_matching(g, candidate)
+
+
+# --------------------------------------------------------------------- #
+# the vertex-cover certificate
+# --------------------------------------------------------------------- #
+def _assert_cover_verdict(g, cover):
+    from oracles import _baseline_uncovered_edges
+    from repro.cover.verify import is_vertex_cover, uncovered_edges
+
+    want = _baseline_uncovered_edges(g, cover)
+    got = uncovered_edges(g, cover)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, want)
+    assert is_vertex_cover(g, cover) is (want.shape[0] == 0)
+
+
+def _minimal_cover(g):
+    """A cover from which no vertex can be dropped: every vertex, then
+    each vertex removed in turn while the rest still cover every edge."""
+    cover = set(range(g.n_vertices))
+    edges = g.edges.tolist()
+    for x in range(g.n_vertices):
+        rest = cover - {x}
+        if all(u in rest or v in rest for u, v in edges):
+            cover = rest
+    return np.asarray(sorted(cover), dtype=np.int64)
+
+
+@st.composite
+def cover_candidates(draw):
+    """A graph, possibly edgeless, and a candidate cover: random ids with
+    repeats, the empty cover included."""
+    g = draw(graphs())
+    cover = draw(st.lists(st.integers(0, g.n_vertices - 1),
+                          max_size=2 * g.n_vertices))
+    return g, np.asarray(cover, dtype=np.int64)
+
+
+@SETTINGS
+@given(cover_candidates())
+@example((Graph(4), np.zeros(0, dtype=np.int64)))
+@example((Graph(4), np.array([2, 2, 0])))
+@example((Graph(3, [(0, 1), (1, 2)]), np.array([1, 1])))
+def test_cover_verifier_equals_per_edge_oracle(case):
+    _assert_cover_verdict(*case)
+
+
+@SETTINGS
+@given(graphs(), st.data())
+def test_cover_verifier_rejects_a_minimal_cover_less_one_vertex(g, data):
+    """A minimal cover passes; without any one of its vertices some edge
+    is left uncovered, and the verifier must say so."""
+    from repro.cover.verify import is_vertex_cover
+
+    cover = _minimal_cover(g)
+    _assert_cover_verdict(g, cover)
+    assert is_vertex_cover(g, cover)
+    if cover.size:
+        short = np.delete(cover, data.draw(st.integers(0, cover.size - 1)))
+        _assert_cover_verdict(g, short)
+        assert not is_vertex_cover(g, short)
+
+
+@st.composite
+def out_of_range_covers(draw):
+    """A graph, possibly edgeless, and a cover holding one id outside
+    ``[0, n)`` among valid ones."""
+    g, cover = draw(cover_candidates())
+    n = g.n_vertices
+    bad = draw(st.sampled_from([-1, n, n + 7, -(2**40)]))
+    at = draw(st.integers(0, cover.size))
+    return g, np.insert(cover, at, bad)
+
+
+@SETTINGS
+@given(out_of_range_covers())
+@example((Graph(3), np.array([3])))
+def test_cover_verifier_rejects_out_of_range_ids(case):
+    from repro.cover.verify import is_vertex_cover, uncovered_edges
+
+    for check in (is_vertex_cover, uncovered_edges):
+        with pytest.raises(ValueError, match="out of range"):
+            check(*case)
 
 
 @SETTINGS

@@ -862,6 +862,85 @@ class TestDrain:
         assert refused.status == 503
         assert refused.code == "shutting_down"
 
+    def test_close_ends_idle_keep_alive_at_once_and_answers_in_flight(self):
+        """aclose() with one idle keep-alive connection and one request
+        held in its barrier: the idle connection reads EOF while the
+        barrier is still held, the held request is answered once it runs,
+        and the loop's exception handler is never called."""
+        async def main():
+            loop = asyncio.get_running_loop()
+            reported = []
+            loop.set_exception_handler(
+                lambda _loop, context: reported.append(context))
+            async with serve_harness(graphs=DEMO) as (server, client):
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port)
+                writer.write(b"GET /healthz HTTP/1.1\r\nHost: t\r\n\r\n")
+                await writer.drain()
+                head = await reader.readuntil(b"\r\n\r\n")
+                length = int(head.split(b"Content-Length: ")[1]
+                             .split(b"\r\n")[0])
+                await reader.readexactly(length)
+                with held_barrier(server) as hold:
+                    held = asyncio.ensure_future(
+                        client.solve("demo", solver=GREEDY, seed=4))
+                    await wait_until(lambda: hold.batches)
+                    closing = asyncio.ensure_future(server.aclose())
+                    # A guard against a hang, not a margin: the EOF comes
+                    # while the barrier is still held.
+                    tail = await asyncio.wait_for(reader.read(), 60)
+                    answered_before_eof = held.done()
+                    hold.open()
+                    doc = await held
+                    await closing
+                writer.close()
+                await writer.wait_closed()
+            return head, tail, answered_before_eof, doc, reported
+
+        head, tail, answered_before_eof, doc, reported = run_async(main())
+        assert b"Connection: keep-alive" in head
+        assert tail == b""
+        assert not answered_before_eof
+        assert_matches_reference(doc, reference(GREEDY, 4))
+        assert reported == []
+
+    def test_close_cuts_off_a_connection_mid_request_without_an_error(
+            self, monkeypatch):
+        """A client that sent a request line but never its blank line has
+        a request in flight, so aclose() waits out the grace (patched to
+        zero here) and then cancels its handler: the client reads EOF, the
+        handler ends without an error, and the loop's exception handler is
+        never called."""
+        from repro.serve import app
+
+        monkeypatch.setattr(app, "DRAIN_GRACE_S", 0.0)
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            reported = []
+            loop.set_exception_handler(
+                lambda _loop, context: reported.append(context))
+            async with serve_harness(graphs=DEMO) as (server, _client):
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", server.port)
+                writer.write(b"POST /solve HTTP/1.1\r\nHost: t\r\n")
+                await writer.drain()
+                # Past its request line, the handler is no longer idle.
+                await wait_until(
+                    lambda: server._conn_tasks and not server._idle)
+                handler, = server._conn_tasks
+                await server.aclose()
+                tail = await asyncio.wait_for(reader.read(), 60)
+                writer.close()
+                await writer.wait_closed()
+            return handler, tail, reported
+
+        handler, tail, reported = run_async(main())
+        assert handler.done() and not handler.cancelled()
+        assert handler.exception() is None
+        assert tail == b""
+        assert reported == []
+
     def test_drain_503s_queued_work_when_the_breaker_is_open(
             self, tmp_path):
         """Draining with the breaker open: queued requests can never be
