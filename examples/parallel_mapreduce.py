@@ -56,7 +56,7 @@ def main() -> None:
               f"  bits={res.total_bits}  identical_to_serial={identical}")
         assert identical, "determinism contract violated"
 
-    # --- the MapReduce simulator ----------------------------------------
+    # --- the MapReduce algorithm, on the same engine ---------------------
     print("\nmapreduce_matching (2 rounds, coreset to machine 0):")
     reference = None
     for backend in BACKENDS:

@@ -34,9 +34,9 @@ document, ``--json -`` prints it to stdout instead of the text table).
 ``--executor`` / ``--workers`` select the execution backend (`serial`,
 `processes`, `remote`); they work by setting ``REPRO_EXECUTOR`` /
 ``REPRO_WORKERS`` for the run, which is where the trial harness
-(``run_trials``) and the distributed engines (``run_simultaneous``,
-``MapReduceSimulator``) resolve their defaults, so every experiment picks
-them up without per-table plumbing.  Outputs are bit-identical across
+(``run_trials``) and the distributed engine (``run_simultaneous``, which
+the MapReduce algorithms run on too) resolve their defaults, so every
+experiment picks them up without per-table plumbing.  Outputs are bit-identical across
 backends for the same seed (docs/PARALLELISM.md); the registry's picklable
 trials are what let ``processes`` fan out whole trials, not just machines.
 """

@@ -14,6 +14,15 @@ If the input is *already* randomly distributed, round 1 is skipped and the
 whole computation takes **one** round (the paper cites [52] for when that
 assumption applies) — exposed via ``assume_random_input=True``.
 
+Round 2 is the simultaneous protocol, so both rounds run on its engine:
+round 1 is a seeded draw (:func:`~repro.graph.partition.shuffled_k_partition`),
+from which each round-2 machine cuts its own piece, and round 2 is
+:func:`~repro.dist.coordinator.run_simultaneous` with the Theorem 1 and 2
+summarizers, machine 0 playing M.  The coordinator logs every round in a
+:class:`~repro.dist.mapreduce.MapReduceJob` from the partition's keys and
+the messages, and checks the per-machine memory cap after loading, after
+the shuffle and on M's total.
+
 .. deprecated::
     As *entry points* these are superseded by the unified solver facade —
     ``repro.solve.solve(graph, "matching.mapreduce", ctx)`` /
@@ -26,20 +35,31 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, TypeVar
 
 import numpy as np
 
-from repro.core.compose import compose_matching, compose_vertex_cover
-from repro.core.vc_coreset import VCCoresetResult, vc_coreset
+from repro.core.compose import compose_cover, compose_matching
+from repro.core.protocols import MatchingCoresetSummarizer, VCCoresetSummarizer
+from repro.dist.coordinator import Coordinator, SimultaneousProtocol, run_simultaneous
 from repro.dist.executor import ExecutorSpec
-from repro.dist.mapreduce import MapReduceJob, MapReduceSimulator
-from repro.graph.bipartite import BipartiteGraph
+from repro.dist.machine import Summarizer
+from repro.dist.mapreduce import MapReduceJob
+from repro.dist.message import Message
 from repro.graph.edgelist import Graph
-from repro.matching.api import Algorithm, maximum_matching
-from repro.utils.rng import RandomState, as_generator, spawn_generators
+from repro.graph.partition import (
+    PLACEMENTS,
+    PartitionedGraph,
+    random_k_partition,
+    shuffled_k_partition,
+)
+from repro.matching.api import Algorithm
+from repro.utils.rng import RandomState, as_generator, root_seed, spawn_generators
 
 __all__ = ["MapReduceMatchingResult", "MapReduceCoverResult",
            "mapreduce_matching", "mapreduce_vertex_cover", "default_machine_count"]
+
+T = TypeVar("T")
 
 
 def default_machine_count(n_vertices: int) -> int:
@@ -47,75 +67,56 @@ def default_machine_count(n_vertices: int) -> int:
     return max(1, int(math.isqrt(max(n_vertices, 1))))
 
 
-def _initial_pieces(
-    graph: Graph, k: int, how: str, rng: np.random.Generator
-) -> list[np.ndarray]:
-    """Round-0 placement of edges on machines.
-
-    ``"contiguous"`` models an arbitrary/adversarial ingest (consecutive
-    chunks of the edge list); ``"random"`` models an input that is already
-    randomly distributed.
-    """
-    e = graph.edges
-    if how == "contiguous":
-        return [chunk for chunk in np.array_split(e, k)]
-    if how == "random":
-        dest = rng.integers(0, k, size=e.shape[0])
-        return [e[dest == i] for i in range(k)]
-    raise ValueError(f"unknown initial placement {how!r}")
-
-
-# The round functions below are module-level dataclass callables rather
-# than closures so that `executor="processes"` can pickle them into worker
-# processes; they carry only small scalars or an edge-free template graph.
-@dataclass(frozen=True)
-class _UniformRoute:
-    """Round-1 route: every edge to a uniformly random machine."""
-
-    k: int
-
-    def __call__(self, i: int, edges: np.ndarray,
-                 rng: np.random.Generator) -> np.ndarray:
-        return rng.integers(0, self.k, size=edges.shape[0])
+def _round_two_partition(
+    graph: Graph, k: int, gen: np.random.Generator, placement: str,
+    assume_random_input: bool,
+) -> tuple[PartitionedGraph, np.ndarray | None]:
+    """The random k-partitioning round 2 runs on, and each edge's round-0
+    machine (``None`` when round 1 is skipped: the input is already that
+    partitioning).  Either way ``gen`` first draws the root of round 1's
+    route streams, so a pre-randomized input is placed by the stream a
+    random placement would be."""
+    if placement not in PLACEMENTS:
+        raise ValueError(f"unknown initial placement {placement!r}")
+    if not assume_random_input:
+        return shuffled_k_partition(graph, k, gen, placement)
+    root_seed(gen)
+    return random_k_partition(graph, k, gen), None
 
 
-@dataclass(frozen=True)
-class _MatchingCoresetCompute:
-    """Round-2 compute: a maximum matching of the machine's piece."""
+def _run(
+    graph: Graph, k: int, gen: np.random.Generator, summarizer: Summarizer,
+    compose: Callable[[Coordinator, list[Message]], T], *,
+    memory_cap_edges: int | None, assume_random_input: bool,
+    initial_placement: str, executor: ExecutorSpec,
+) -> tuple[T, MapReduceJob]:
+    """Both rounds: the shuffle as a draw, then every machine's coreset to
+    machine 0, which runs ``compose`` on the messages."""
+    if memory_cap_edges is not None and memory_cap_edges < 0:
+        raise ValueError(
+            f"memory_cap_edges must be non-negative, got {memory_cap_edges}"
+        )
+    part, sources = _round_two_partition(graph, k, gen, initial_placement,
+                                         assume_random_input)
+    job = MapReduceJob()
+    if sources is None:
+        job.hold(part.piece_sizes(), memory_cap_edges, "load")
+    else:
+        job.hold(np.bincount(sources, minlength=k), memory_cap_edges, "load")
+        moved = int(np.count_nonzero(part.assignment != sources))
+        job.end_round("shuffle", moved, part.piece_sizes(), memory_cap_edges)
 
-    template: Graph  # edge-free; carries n and the bipartition only
+    def receive(coordinator: Coordinator, messages: list[Message]) -> T:
+        sent = np.array([m.edges.shape[0] for m in messages], dtype=np.int64)
+        received = np.zeros(k, dtype=np.int64)
+        received[0] = sent.sum()
+        job.end_round("compute", int(sent[1:].sum()), received,
+                      memory_cap_edges)
+        return compose(coordinator, messages)
 
-    def __call__(self, i: int, edges: np.ndarray,
-                 rng: np.random.Generator) -> np.ndarray:
-        return maximum_matching(_piece_like(self.template, edges))
-
-
-@dataclass(frozen=True)
-class _VCCoresetCompute:
-    """Round-2 compute: VC peeling; returns (residual edges, fixed vertices).
-
-    The fixed vertices come back through :meth:`compute_round`'s aux
-    channel (collected in machine-index order) instead of mutating caller
-    state, which would not survive a process boundary.
-    """
-
-    n_vertices: int
-    k: int
-    log_slack: float
-
-    def __call__(self, i: int, edges: np.ndarray,
-                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-        piece = Graph(self.n_vertices, edges)
-        result = vc_coreset(piece, n=self.n_vertices, k=self.k,
-                            log_slack=self.log_slack)
-        return result.residual.edges, result.fixed_vertices
-
-
-def _edge_free_template(graph: Graph) -> Graph:
-    """``graph`` minus its edges: the cheap-to-pickle structural template."""
-    if isinstance(graph, BipartiteGraph):
-        return BipartiteGraph(graph.n_left, graph.n_right)
-    return Graph(graph.n_vertices)
+    protocol = SimultaneousProtocol("mapreduce", summarizer, receive)
+    result = run_simultaneous(protocol, part, gen, executor=executor)
+    return result.output, job
 
 
 @dataclass
@@ -144,39 +145,27 @@ def mapreduce_matching(
 ) -> MapReduceMatchingResult:
     """O(1)-approximate maximum matching in ≤ 2 MapReduce rounds.
 
-    ``executor`` selects the backend the simulated machines run on
-    (serial / processes / remote; see :mod:`repro.dist.executor`) —
-    results are bit-identical per seed across all backends.
+    ``executor`` selects the backend the machines run on (serial /
+    processes / remote; see :mod:`repro.dist.executor`) — results are
+    bit-identical per seed across all backends.
     """
     gen = as_generator(rng)
     k = default_machine_count(graph.n_vertices) if k is None else int(k)
-    # The context manager releases the simulator's worker pool when the
-    # rounds are done (a pool the caller passed in stays open — see
-    # MapReduceSimulator.close); the pool itself persists across both
-    # rounds, so start-up is paid once per job.
-    with MapReduceSimulator(
-        graph.n_vertices, k, memory_cap_edges=memory_cap_edges, rng=gen,
-        executor=executor,
-    ) as sim:
-        placement = "random" if assume_random_input else initial_placement
-        sim.load(_initial_pieces(graph, k, placement, gen))
 
-        if not assume_random_input:
-            # Round 1: random re-partitioning.
-            sim.shuffle_round(_UniformRoute(k))
+    def compose(coordinator: Coordinator, messages: list[Message]) -> np.ndarray:
+        return compose_matching(
+            coordinator.n_vertices, [m.edges for m in messages],
+            combiner="exact", algorithm=combiner_algorithm,
+            template=coordinator.template,
+        )
 
-        # Round 2: coreset per machine, shipped to machine 0.  The compute
-        # callable carries only the edge-free template (n + bipartition), so
-        # shipping it to process workers stays cheap.
-        sim.compute_round(_MatchingCoresetCompute(_edge_free_template(graph)),
-                          send_to=0)
-
-        final_edges = sim.machine_edges(0)
-    matching = compose_matching(
-        graph.n_vertices, [final_edges], combiner="exact",
-        algorithm=combiner_algorithm, template=graph,
+    matching, job = _run(
+        graph, k, gen, MatchingCoresetSummarizer(), compose,
+        memory_cap_edges=memory_cap_edges,
+        assume_random_input=assume_random_input,
+        initial_placement=initial_placement, executor=executor,
     )
-    return MapReduceMatchingResult(matching=matching, job=sim.job, k=k)
+    return MapReduceMatchingResult(matching=matching, job=job, k=k)
 
 
 def mapreduce_vertex_cover(
@@ -191,49 +180,26 @@ def mapreduce_vertex_cover(
 ) -> MapReduceCoverResult:
     """O(log n)-approximate vertex cover in ≤ 2 MapReduce rounds.
 
-    ``executor`` selects the backend the simulated machines run on
-    (serial / processes / remote; see :mod:`repro.dist.executor`) —
-    results are bit-identical per seed across all backends.
+    The fixed vertices ride along with the residual edges; they are ≤ n
+    vertex ids, well inside the same Õ(n) message budget.  ``executor``
+    selects the backend the machines run on (serial / processes / remote;
+    see :mod:`repro.dist.executor`) — results are bit-identical per seed
+    across all backends.
     """
     gen, cover_gen = spawn_generators(rng, 2)
     k = default_machine_count(graph.n_vertices) if k is None else int(k)
-    with MapReduceSimulator(
-        graph.n_vertices, k, memory_cap_edges=memory_cap_edges, rng=gen,
-        executor=executor,
-    ) as sim:
-        placement = "random" if assume_random_input else initial_placement
-        sim.load(_initial_pieces(graph, k, placement, gen))
 
-        if not assume_random_input:
-            sim.shuffle_round(_UniformRoute(k))
-
-        # Fixed vertices ride along with the residual edges; they are ≤ n
-        # vertex ids, well inside the same Õ(n) message budget.  They come
-        # back through the round's aux channel, keyed by machine index.
-        aux = sim.compute_round(
-            _VCCoresetCompute(graph.n_vertices, k, log_slack), send_to=0
+    def compose(coordinator: Coordinator, messages: list[Message]) -> np.ndarray:
+        return compose_cover(
+            coordinator.n_vertices, [m.edges for m in messages],
+            [m.fixed_vertices for m in messages], combiner="auto",
+            template=coordinator.template, rng=cover_gen,
         )
-        fixed_sets: list[np.ndarray] = [
-            a if a is not None else np.zeros(0, dtype=np.int64) for a in aux
-        ]
 
-        residual_union = Graph(graph.n_vertices, sim.machine_edges(0))
-    results = [
-        VCCoresetResult(
-            fixed_vertices=fixed_sets[i],
-            residual=residual_union if i == 0 else Graph(graph.n_vertices),
-            trace=None,  # type: ignore[arg-type]
-        )
-        for i in range(k)
-    ]
-    cover = compose_vertex_cover(
-        graph.n_vertices, results, combiner="auto", template=graph, rng=cover_gen
+    cover, job = _run(
+        graph, k, gen, VCCoresetSummarizer(k=k, log_slack=log_slack), compose,
+        memory_cap_edges=memory_cap_edges,
+        assume_random_input=assume_random_input,
+        initial_placement=initial_placement, executor=executor,
     )
-    return MapReduceCoverResult(cover=cover, job=sim.job, k=k)
-
-
-def _piece_like(template: Graph, edges: np.ndarray) -> Graph:
-    """Rebuild a machine piece with the template's (possible) bipartition."""
-    if isinstance(template, BipartiteGraph):
-        return BipartiteGraph(template.n_left, template.n_right, edges)
-    return Graph(template.n_vertices, edges)
+    return MapReduceCoverResult(cover=cover, job=job, k=k)

@@ -22,11 +22,12 @@ substrate, independent of any particular coreset:
   :func:`~repro.dist.coordinator.run_simultaneous` engine that executes it
   over a partitioned graph.
 * :mod:`repro.dist.mapreduce` — the
-  :class:`~repro.dist.mapreduce.MapReduceSimulator` with per-machine memory
-  caps, for the paper's 2-round MPC corollaries.
+  :class:`~repro.dist.mapreduce.MapReduceJob` round log and the per-machine
+  memory cap of the paper's 2-round MPC corollaries, whose rounds run on
+  the same engine (:mod:`repro.core.mapreduce_algos`).
 * :mod:`repro.dist.executor` — pluggable execution backends (``serial``,
-  ``processes``, ``remote``) for the per-machine work of both
-  engines, with persistent worker pools amortized across rounds and trials.
+  ``processes``, ``remote``) for the per-machine work of the engine, with
+  persistent worker pools amortized across barriers and trials.
 * :mod:`repro.dist.shm` — shared-memory graph segments: a
   :class:`~repro.dist.shm.ResidentPin` writes a graph into one segment
   and a task carries its :class:`~repro.dist.shm.ResidentGraph`
@@ -42,7 +43,7 @@ substrate, independent of any particular coreset:
   which ships a graph, or an explicit partition's machine rows, at most
   once per worker.
 
-Machines are independent in the model, and the engines preserve that
+Machines are independent in the model, and the engine preserves that
 independence in the code, so the k per-machine computations can genuinely
 run in parallel — with outputs bit-identical to a serial run for the same
 seed, because results are always composed in machine-index order (the
@@ -85,12 +86,7 @@ from repro.dist.executor import (
 )
 from repro.dist.ledger import CommunicationLedger
 from repro.dist.machine import Machine
-from repro.dist.mapreduce import (
-    MapReduceJob,
-    MapReduceSimulator,
-    MemoryCapExceeded,
-    RoundRecord,
-)
+from repro.dist.mapreduce import MapReduceJob, MemoryCapExceeded, RoundRecord
 from repro.dist.message import Message
 
 #: Names served from :mod:`repro.dist.remote` on first access (PEP 562):
@@ -110,7 +106,6 @@ __all__ = [
     "ExecutorError",
     "Machine",
     "MapReduceJob",
-    "MapReduceSimulator",
     "MemoryCapExceeded",
     "Message",
     "ProcessExecutor",

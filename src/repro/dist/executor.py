@@ -1,15 +1,14 @@
 """Pluggable execution backends for the distributed substrate.
 
 The paper's model is *simultaneous*: machines act independently and only a
-barrier (the coordinator, or the end of a MapReduce round) joins their
-results.  That independence is already real in the code — per-machine
+barrier (the coordinator, which is also where a MapReduce round ends)
+joins their results.  That independence is already real in the code — per-machine
 generators are spawned from one ``SeedSequence`` and graph pieces are
 immutable views — so the engine can fan the per-machine work out to an
 :class:`Executor` without changing a single output bit.  This module
 provides the backends and the resolution logic shared by
-:func:`~repro.dist.coordinator.run_simultaneous`,
-:class:`~repro.dist.mapreduce.MapReduceSimulator`, and
-:func:`~repro.experiments.harness.run_trials`.
+:func:`~repro.dist.coordinator.run_simultaneous`, which the MapReduce
+algorithms run on too, and :func:`~repro.experiments.harness.run_trials`.
 
 The determinism contract (see ``docs/PARALLELISM.md``) is owned by the
 *callers*, not the backends: an executor only promises that
@@ -25,9 +24,9 @@ Backends
     no constraints on the task functions.
 ``processes``
     ``concurrent.futures.ProcessPoolExecutor``.  True parallelism, but
-    every task — including the protocol's summarizer or the round's
-    route/compute function — must be **picklable**: defined at module
-    level, never a closure or a lambda.  Unpicklable tasks raise
+    every task — including the protocol's summarizer or the trial —
+    must be **picklable**: defined at module level, never a closure or a
+    lambda.  Unpicklable tasks raise
     :class:`UnpicklableTaskError`.
 ``remote``
     :class:`~repro.dist.remote.RemoteExecutor`: a socket coordinator plus
@@ -40,9 +39,9 @@ Lifecycle
 ---------
 Executors are **persistent**: a process pool is created lazily on
 the first :meth:`Executor.map` call that needs it and *reused* by every
-subsequent call until :meth:`Executor.close`.  That is what lets an
-r-round MapReduce job or an n-trial sweep pay pool start-up (fork + import)
-once instead of once per barrier.  Executors are context managers::
+subsequent call until :meth:`Executor.close`.  That is what lets a series
+of solves or an n-trial sweep pay pool start-up (fork + import) once
+instead of once per barrier.  Executors are context managers::
 
     with ProcessExecutor(max_workers=4) as ex:
         res1 = run_simultaneous(proto, part, rng=2, executor=ex)
@@ -392,7 +391,7 @@ def _pickle_advice(what: str, exc: Exception) -> str:
     """
     return (
         f"the executor cannot ship {what} to a worker: it is not "
-        f"picklable. Summarizers, route functions, and compute functions "
+        f"picklable. Summarizers, trials and other task functions "
         f"must be defined at module level (closures and lambdas cannot be "
         f"pickled); alternatively use the 'serial' backend. "
         f"Underlying error: {exc}"

@@ -111,8 +111,7 @@ class _SerialEnginesTrial:
     When :func:`run_trials` fans trials out across worker processes (every
     backend but ``serial``: a process pool or a remote fleet), each worker
     would otherwise re-resolve ``$REPRO_EXECUTOR`` inside
-    ``run_simultaneous`` / ``MapReduceSimulator`` and nest a second process
-    pool per trial.  One level of process parallelism is the useful grain,
+    ``run_simultaneous`` and nest a second process pool per trial.  One level of process parallelism is the useful grain,
     so the trial level wins and the engines inside the trial run serially
     (outputs are bit-identical either way — docs/PARALLELISM.md).  The
     previous environment is restored afterwards, which also keeps the

@@ -5,7 +5,8 @@ A *random k-partitioning* assigns every edge independently and uniformly to
 one of ``k`` machines (paper, §1, "Randomized Composable Coresets").  The
 paper's central claim is that this single change — random instead of
 adversarial placement — moves matching and vertex cover from Ω(n²) summaries
-to Õ(n) summaries.
+to Õ(n) summaries.  Round 1 of its MapReduce algorithm (§1.1) makes one out
+of any placement (:func:`shuffled_k_partition`).
 """
 
 from __future__ import annotations
@@ -18,15 +19,17 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from repro.graph.edgelist import Graph
-from repro.utils.rng import RandomState, as_generator
+from repro.utils.rng import RandomState, as_generator, root_seed
 
 __all__ = [
+    "PLACEMENTS",
     "PartitionedGraph",
     "RowsRecipe",
     "SeededRecipe",
     "VertexPartitionedGraph",
     "random_k_partition",
     "random_vertex_partition",
+    "shuffled_k_partition",
     "partition_by_assignment",
     "adversarial_degree_partition",
 ]
@@ -156,9 +159,7 @@ class _Draw:
 
     def keys(self, m: int, k: int) -> np.ndarray:
         """The ``m`` machine ids ``integers(0, k, size=m, dtype=int64)``
-        draws, stored in the narrowest type holding ``k - 1``.  They are
-        drawn in chunks: below 2**32 numpy draws each bounded int64 from
-        the bit generator alone, so the chunks continue one stream."""
+        draws, stored in the narrowest type holding ``k - 1``."""
         if isinstance(self.seed, np.random.SeedSequence):
             gen = np.random.default_rng(self.seed)
         else:
@@ -166,10 +167,7 @@ class _Draw:
             bit_generator.state = self.seed
             gen = np.random.Generator(bit_generator)
         out = np.empty(m, dtype=np.min_scalar_type(k - 1))
-        for start in range(0, m, _DRAW_CHUNK):
-            stop = min(start + _DRAW_CHUNK, m)
-            out[start:stop] = gen.integers(0, k, size=stop - start,
-                                           dtype=np.int64)
+        _fill(gen, out, k)
         return out
 
     def __getstate__(self) -> object:
@@ -177,6 +175,59 @@ class _Draw:
 
     def __setstate__(self, seed: object) -> None:
         self.__init__(seed)  # type: ignore[misc]
+
+
+def _fill(gen: np.random.Generator, out: np.ndarray, k: int) -> None:
+    """Fill ``out`` with the ids ``gen.integers(0, k, size=out.size,
+    dtype=int64)`` draws.  They are drawn in chunks: below 2**32 numpy
+    draws each bounded int64 from the bit generator alone, so the chunks
+    continue one stream."""
+    for start in range(0, out.size, _DRAW_CHUNK):
+        stop = min(start + _DRAW_CHUNK, out.size)
+        out[start:stop] = gen.integers(0, k, size=stop - start,
+                                       dtype=np.int64)
+
+
+class _ShuffleDraw(_Draw):
+    """Round 1 of the MapReduce algorithm (§1.1) as a draw.  The seed is
+    ``(routes, placed)``: the entropy whose k spawned children are the
+    machines' route streams, and the round-0 placement, ``None`` for the
+    consecutive chunks of ``np.array_split`` or the state of the generator
+    that drew a random one.  Each machine draws one destination per edge
+    it holds, in ascending row order, from its route stream, and an
+    edge's key is its destination."""
+
+    __slots__ = ()
+
+    def keys(self, m: int, k: int) -> np.ndarray:
+        routes, placed = self.seed
+        return _routed(_placed(m, k, placed), routes, k)
+
+
+def _placed(m: int, k: int, placed: dict | None) -> np.ndarray:
+    """Each edge's round-0 machine: its ``np.array_split`` chunk, or the
+    random placement drawn from the generator state ``placed``."""
+    if placed is not None:
+        return _Draw(placed).keys(m, k)
+    sizes = np.full(k, m // k)
+    sizes[: m % k] += 1
+    return np.repeat(np.arange(k, dtype=np.min_scalar_type(k - 1)), sizes)
+
+
+def _routed(sources: np.ndarray, routes: tuple, k: int) -> np.ndarray:
+    """Each edge's destination: machine ``i`` draws ``integers(0, k)``
+    from the ``i``-th child of ``routes`` for each edge whose source is
+    ``i``, in ascending row order."""
+    order = np.argsort(sources, kind="stable")
+    routed = np.empty_like(sources)
+    start = 0
+    children = np.random.SeedSequence(routes).spawn(k)
+    for child, count in zip(children, np.bincount(sources, minlength=k)):
+        _fill(np.random.default_rng(child), routed[start:start + count], k)
+        start += count
+    keys = np.empty_like(routed)
+    keys[order] = routed
+    return keys
 
 
 class SeededRecipe:
@@ -271,6 +322,45 @@ def random_k_partition(
     if not isinstance(rng, np.random.SeedSequence):
         rng = np.random.SeedSequence(rng)
     return PartitionedGraph(graph, k, draw=_Draw(rng))
+
+
+#: The round-0 placements of the MapReduce algorithm's input: consecutive
+#: chunks of the edge list (an arbitrary ingest), or a uniformly random
+#: machine per edge (an input that is already randomly placed).
+PLACEMENTS = ("contiguous", "random")
+
+
+def shuffled_k_partition(
+    graph: Graph, k: int, rng: RandomState = None,
+    placement: str = "contiguous",
+) -> tuple[PartitionedGraph, np.ndarray]:
+    """Round 1 of the paper's MapReduce algorithm (§1.1): the edges start
+    on the k machines by ``placement`` (one of :data:`PLACEMENTS`), and
+    every machine sends each edge it holds to a uniformly random machine,
+    which turns any placement into a random k-partitioning.
+
+    ``rng`` is coerced to a generator, which advances as by
+    ``spawn_generators(rng, k)``, the machines' route streams, and then,
+    for a random placement, as by drawing it.  Returns the partition, kept
+    as its draw like :func:`random_k_partition`'s, and each edge's round-0
+    machine.
+    """
+    if placement not in PLACEMENTS:
+        raise ValueError(f"unknown initial placement {placement!r}")
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    gen = as_generator(rng)
+    routes = tuple(root_seed(gen).entropy)
+    placed = None
+    if placement == "random":
+        placed = gen.bit_generator.state
+        sources = gen.integers(0, k, size=graph.n_edges, dtype=np.int64)
+        sources = sources.astype(np.min_scalar_type(k - 1))
+    else:
+        sources = _placed(graph.n_edges, k, None)
+    keys = _routed(sources, routes, k)
+    draw = _ShuffleDraw((routes, placed))
+    return PartitionedGraph(graph, k, keys, draw=draw), sources
 
 
 def partition_by_assignment(

@@ -26,8 +26,8 @@ Seedable = Union[int, np.random.Generator, np.random.SeedSequence]
 #: per-call-site ignores.
 RandomState = Optional[Seedable]
 
-__all__ = ["RandomState", "Seedable", "as_generator", "spawn_generators",
-           "spawn_seeds"]
+__all__ = ["RandomState", "Seedable", "as_generator", "root_seed",
+           "spawn_generators", "spawn_seeds"]
 
 
 def as_generator(seed: RandomState = None) -> np.random.Generator:
@@ -44,23 +44,27 @@ def as_generator(seed: RandomState = None) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def spawn_seeds(seed: RandomState, n: int) -> list[np.random.SeedSequence]:
-    """Derive ``n`` independent child seed sequences from ``seed``.
+def root_seed(seed: RandomState) -> np.random.SeedSequence:
+    """The seed sequence :func:`spawn_seeds` spawns its children from.
 
     If ``seed`` is a ``Generator`` we pull a fresh 128-bit entropy value from
     it, so that repeated calls with the same generator yield distinct (but
     reproducible) families of streams.
     """
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    if isinstance(seed, np.random.Generator):
+        entropy = seed.integers(0, 2**63 - 1, size=2, dtype=np.int64)
+        return np.random.SeedSequence([int(e) for e in entropy])
+    return np.random.SeedSequence(seed)
+
+
+def spawn_seeds(seed: RandomState, n: int) -> list[np.random.SeedSequence]:
+    """Derive ``n`` independent child seed sequences from ``seed`` (the
+    children of :func:`root_seed`)."""
     if n < 0:
         raise ValueError(f"cannot spawn a negative number of seeds: {n}")
-    if isinstance(seed, np.random.SeedSequence):
-        root = seed
-    elif isinstance(seed, np.random.Generator):
-        entropy = seed.integers(0, 2**63 - 1, size=2, dtype=np.int64)
-        root = np.random.SeedSequence([int(e) for e in entropy])
-    else:
-        root = np.random.SeedSequence(seed)
-    return root.spawn(n)
+    return root_seed(seed).spawn(n)
 
 
 def spawn_generators(seed: RandomState, n: int) -> list[np.random.Generator]:

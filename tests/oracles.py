@@ -19,6 +19,10 @@ correctness signal:
 * :func:`_baseline_uncovered_edges` — the vertex-cover certificate one
   edge at a time over a Python set.  ``uncovered_edges`` must return its
   rows, and ``is_vertex_cover`` must hold exactly when it is empty.
+* :func:`_explicit_shuffle` — round 1 of the MapReduce algorithm as the
+  explicit shuffle it once ran: the source pieces stacked, one route draw
+  per source, then a stable sort by destination.  The round-2 pieces the
+  seeded draw of ``shuffled_k_partition`` cuts must hold the same edges.
 """
 
 from __future__ import annotations
@@ -28,12 +32,14 @@ from typing import List
 import numpy as np
 
 from repro.graph.bipartite import BipartiteGraph
+from repro.utils.rng import spawn_generators
 
 __all__ = [
     "_baseline_graph_edges",
     "_baseline_is_matching",
     "_baseline_scan",
     "_baseline_uncovered_edges",
+    "_explicit_shuffle",
     "augmenting_path_matching",
 ]
 
@@ -165,3 +171,31 @@ def _baseline_uncovered_edges(graph, cover) -> np.ndarray:
     rows = [(u, v) for u, v in graph.edges.tolist()
             if u not in chosen and v not in chosen]
     return np.asarray(rows, dtype=np.int64).reshape(-1, 2)
+
+
+def _explicit_shuffle(edges: np.ndarray, k: int, gen: np.random.Generator,
+                      placement: str, shuffle: bool = True) -> List[np.ndarray]:
+    """The k machines' edges after round 1 of the MapReduce algorithm.
+
+    The k route generators are spawned from ``gen`` first.  Round 0 puts
+    ``edges`` on the machines by ``placement``: consecutive
+    ``np.array_split`` chunks (``"contiguous"``), or one
+    ``gen.integers(0, k)`` machine per edge (``"random"``).  Without
+    ``shuffle`` that placement is the answer.  Otherwise machine ``i``
+    draws ``integers(0, k)`` from route generator ``i`` for each edge it
+    holds, the source pieces are stacked in machine order, and a stable
+    sort by destination splits them into the k new pieces.
+    """
+    routes = spawn_generators(gen, k)
+    if placement == "contiguous":
+        pieces = np.array_split(edges, k)
+    else:
+        dest = gen.integers(0, k, size=edges.shape[0])
+        pieces = [edges[dest == i] for i in range(k)]
+    if not shuffle:
+        return pieces
+    dests = np.concatenate([routes[i].integers(0, k, size=p.shape[0])
+                            for i, p in enumerate(pieces)])
+    stacked = np.vstack(pieces)[np.argsort(dests, kind="stable")]
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(dests, minlength=k))])
+    return [stacked[bounds[j]:bounds[j + 1]] for j in range(k)]

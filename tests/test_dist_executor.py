@@ -26,7 +26,6 @@ from repro.dist.executor import (
     available_backends,
     resolve_executor,
 )
-from repro.dist.mapreduce import MapReduceSimulator
 from repro.dist.message import Message
 from repro.graph.generators import bipartite_gnp, gnp
 from repro.graph.partition import random_k_partition
@@ -48,12 +47,8 @@ def _square(x):
     return x * x
 
 
-def _route_even(i, edges, rng):
-    return np.zeros(edges.shape[0], dtype=np.int64)
-
-
-def _compute_with_aux(i, edges, rng):
-    return edges, int(edges.shape[0])
+def _first(task):
+    return task[0]
 
 
 # --------------------------------------------------------------------- #
@@ -305,25 +300,6 @@ class TestProtocolDeterminismAcrossBackends:
         b = mapreduce_vertex_cover(g, k=4, rng=11, executor=backend)
         np.testing.assert_array_equal(a.cover, b.cover)
 
-    def test_generator_state_threads_back_across_rounds(self):
-        """Round r+1 must see the generator state round r left behind, even
-        when round r ran in a worker process."""
-        g = gnp(70, 0.1, 5)
-        sims = {}
-        for backend in BACKENDS:
-            sim = MapReduceSimulator(70, 3, rng=6, executor=backend)
-            pieces = [g.edges[i::3] for i in range(3)]
-            sim.load(pieces)
-            sim.shuffle_round(_random_route)  # consumes machine randomness
-            sim.shuffle_round(_random_route)  # must continue those streams
-            sims[backend] = sim
-        for backend in POOLED:
-            for i in range(3):
-                np.testing.assert_array_equal(
-                    sims["serial"].machine_edges(i),
-                    sims[backend].machine_edges(i),
-                )
-
 
 # --------------------------------------------------------------------- #
 # machines cut their own pieces from a resident graph
@@ -448,6 +424,7 @@ class TestResidentGraphTasks:
         import pickle
 
         from repro.solve import RunContext, solve
+        from repro.graph.bipartite import BipartiteGraph
         from repro.graph.edgelist import Graph
 
         class Recording(ProcessExecutor):
@@ -456,18 +433,33 @@ class TestResidentGraphTasks:
                 self.task_bytes = [len(pickle.dumps(t)) for t in tasks]
                 return super().map(fn, tasks, **kw)
 
+        # MapReduce round 2 runs on a random re-partition too, whether
+        # round 1 shuffled a contiguous placement or the input came
+        # pre-randomized.
+        cases = [("vertex_cover.coreset", {}),
+                 ("matching.mapreduce", {}),
+                 ("matching.mapreduce", {"assume_random_input": True}),
+                 ("vertex_cover.mapreduce", {}),
+                 ("vertex_cover.mapreduce", {"assume_random_input": True})]
         rng = np.random.default_rng(3)
         sizes = {}
         with Recording(max_workers=2) as ex:
             for m in (20_000, 200_000):
                 g = Graph(20_000, rng.integers(0, 20_000, size=(m, 2)))
-                solve(g, "vertex_cover.coreset",
-                      RunContext(seed=4, k=8, executor=ex))
-                assert len(ex.task_bytes) == 8
-                sizes[m] = max(ex.task_bytes)
+                # Matchings run on a bipartite graph: Hopcroft-Karp stays
+                # quick at this size.
+                bip = BipartiteGraph.from_pairs(
+                    10_000, 10_000, *rng.integers(0, 10_000, size=(2, m)))
+                for i, (solver, params) in enumerate(cases):
+                    graph = bip if solver.startswith("matching") else g
+                    solve(graph, solver,
+                          RunContext(seed=4, k=8, executor=ex), **params)
+                    assert len(ex.task_bytes) == 8
+                    sizes[i, m] = max(ex.task_bytes)
         # A piece alone would be 16 bytes per edge: 40 kB and 400 kB here.
-        assert sizes[200_000] <= sizes[20_000] + 64
-        assert sizes[200_000] < 4096
+        for i, case in enumerate(cases):
+            assert sizes[i, 200_000] <= sizes[i, 20_000] + 64, case
+            assert sizes[i, 200_000] < 4096, case
 
     def test_close_leaves_no_dev_shm_entry(self, monkeypatch):
         if not os.path.isdir("/dev/shm"):
@@ -484,35 +476,6 @@ class TestResidentGraphTasks:
                                  2, executor=ex)
             assert set(os.listdir("/dev/shm")) - before  # the pinned graph
         assert set(os.listdir("/dev/shm")) - before == set()
-
-
-def _random_route(i, edges, rng):
-    return rng.integers(0, 3, size=edges.shape[0])
-
-
-# --------------------------------------------------------------------- #
-# the aux channel of compute_round
-# --------------------------------------------------------------------- #
-class TestComputeRoundAux:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_aux_collected_in_machine_order(self, backend):
-        g = gnp(40, 0.2, 4)
-        sim = MapReduceSimulator(40, 3, rng=1, executor=backend)
-        pieces = [g.edges[:5], g.edges[5:7], g.edges[7:]]
-        sim.load(pieces)
-        aux = sim.compute_round(_compute_with_aux)
-        assert aux == [p.shape[0] for p in pieces]
-
-    def test_bare_edge_return_yields_none_aux(self):
-        g = gnp(30, 0.2, 4)
-        sim = MapReduceSimulator(30, 2, rng=1)
-        sim.load([g.edges[:3], g.edges[3:]])
-        aux = sim.local_round(_route_to_edges)
-        assert aux == [None, None]
-
-
-def _route_to_edges(i, edges, rng):
-    return edges
 
 
 # --------------------------------------------------------------------- #
@@ -535,22 +498,18 @@ class TestProcessPicklingErrors:
         # The same protocol is fine on the in-process backend.
         run_simultaneous(proto, part, 3, executor="serial")
 
-    def test_lambda_route_fn_raises_clear_error(self):
-        g = gnp(20, 0.3, 1)
-        sim = MapReduceSimulator(20, 3, rng=2, executor="processes")
-        sim.load([g.edges[:2], g.edges[2:4], g.edges[4:]])
-        with pytest.raises(UnpicklableTaskError, match="module level"):
-            sim.shuffle_round(lambda i, edges, r: np.zeros(
-                edges.shape[0], dtype=np.int64))
+    def test_lambda_in_a_task_raises_clear_error(self):
+        with ProcessExecutor(max_workers=2) as ex:
+            tasks = [(i, lambda e: e) for i in range(3)]
+            with pytest.raises(UnpicklableTaskError, match="module level"):
+                ex.map(_first, tasks)
 
-    def test_error_raised_even_for_single_machine(self):
-        # The k<=1 fast path must not skip the pickle contract.
-        g = gnp(20, 0.3, 1)
-        sim = MapReduceSimulator(20, 1, rng=2, executor="processes")
-        sim.load([g.edges])
-        with pytest.raises(UnpicklableTaskError):
-            sim.shuffle_round(lambda i, edges, r: np.zeros(
-                edges.shape[0], dtype=np.int64))
+    def test_error_raised_even_for_single_task(self):
+        # The lone-task inline path must not skip the pickle contract.
+        with ProcessExecutor(max_workers=2) as ex:
+            with pytest.raises(UnpicklableTaskError, match="module level"):
+                ex.map(_first, [(0, lambda e: e)])
+            assert ex._pool is None
 
     def test_picklable_protocol_factories_survive_pickling(self):
         import pickle

@@ -23,7 +23,6 @@ from repro.dist.executor import (
     WorkerPoolBrokenError,
     resolve_executor,
 )
-from repro.dist.mapreduce import MapReduceSimulator
 from repro.dist.remote import RemoteExecutor
 from repro.graph.generators import bipartite_gnp, gnp
 from repro.graph.partition import random_k_partition
@@ -56,10 +55,6 @@ def _crash(flag):
     if flag:
         os._exit(13)
     return flag
-
-
-def _random_route_k3(i, edges, rng):
-    return rng.integers(0, 3, size=edges.shape[0])
 
 
 # --------------------------------------------------------------------- #
@@ -219,28 +214,26 @@ class TestPoolReuseDeterminism:
         assert serial_a.ledger.summary() == pooled_a.ledger.summary()
         assert serial_b.ledger.summary() == pooled_b.ledger.summary()
 
-    def test_mapreduce_rounds_share_one_pool(self):
-        """All rounds of a job run on the same persistent pool, and the
-        results stay bit-identical to serial round for round."""
-        g = gnp(70, 0.1, 5)
-        pieces = [g.edges[i::3] for i in range(3)]
+    def test_consecutive_barriers_share_one_pool(self):
+        """Consecutive barriers on one executor run on the same persistent
+        pool, and each stays bit-identical to serial."""
+        from repro.core.mapreduce_algos import mapreduce_vertex_cover
+        from repro.core.protocols import vertex_cover_coreset_protocol
 
-        serial_sim = MapReduceSimulator(70, 3, rng=6, executor="serial")
-        serial_sim.load(pieces)
-        serial_sim.shuffle_round(_random_route_k3)
-        serial_sim.shuffle_round(_random_route_k3)
+        g = gnp(70, 0.1, 5)
+        part = random_k_partition(g, 3, 6)
+        proto = vertex_cover_coreset_protocol(k=3)
+        serial_run = run_simultaneous(proto, part, 7, executor="serial")
+        serial_job = mapreduce_vertex_cover(g, k=3, rng=8, executor="serial")
 
         with ProcessExecutor(max_workers=2) as ex:
-            sim = MapReduceSimulator(70, 3, rng=6, executor=ex)
-            sim.load(pieces)
-            sim.shuffle_round(_random_route_k3)
+            pooled_run = run_simultaneous(proto, part, 7, executor=ex)
             pool = ex._pool
             assert pool is not None
-            sim.shuffle_round(_random_route_k3)
-            assert ex._pool is pool  # round 2 reused round 1's pool
-        for i in range(3):
-            np.testing.assert_array_equal(
-                serial_sim.machine_edges(i), sim.machine_edges(i))
+            pooled_job = mapreduce_vertex_cover(g, k=3, rng=8, executor=ex)
+            assert ex._pool is pool  # the second barrier reused the first's
+        np.testing.assert_array_equal(serial_run.output, pooled_run.output)
+        np.testing.assert_array_equal(serial_job.cover, pooled_job.cover)
 
 
 # --------------------------------------------------------------------- #
@@ -259,15 +252,32 @@ class TestOwnership:
             run_simultaneous(matching_coreset_protocol(), part, 5,
                              executor=ex)
 
-    def test_simulator_close_spares_caller_instances(self):
+    def test_mapreduce_spares_caller_instances(self):
+        from repro.core.mapreduce_algos import mapreduce_matching
+
+        g = bipartite_gnp(20, 20, 0.2, 1)
         with ProcessExecutor(max_workers=2) as ex:
-            sim = MapReduceSimulator(10, 2, rng=0, executor=ex)
-            sim.close()
+            mapreduce_matching(g, k=2, rng=0, executor=ex)
             assert not ex.closed
-        sim2 = MapReduceSimulator(10, 2, rng=0, executor="processes")
-        owned = sim2.executor
-        sim2.close()
-        assert owned.closed  # resolved-by-name executor belongs to the sim
+            mapreduce_matching(g, k=2, rng=0, executor=ex)
+
+    def test_run_simultaneous_closes_resolved_executor(self, monkeypatch):
+        from repro.core.protocols import matching_coreset_protocol
+
+        created = []
+        original = resolve_executor
+
+        def tracking_resolve(spec=None, workers=None):
+            ex = original(spec, workers)
+            created.append(ex)
+            return ex
+
+        monkeypatch.setattr("repro.dist.coordinator.resolve_executor",
+                            tracking_resolve)
+        part = random_k_partition(bipartite_gnp(20, 20, 0.2, 1), 2, 0)
+        run_simultaneous(matching_coreset_protocol(), part, 1,
+                         executor="processes")
+        assert len(created) == 1 and created[0].closed
 
     def test_run_trials_closes_resolved_executor(self, monkeypatch):
         from repro.experiments.harness import run_trials
@@ -284,12 +294,6 @@ class TestOwnership:
                             tracking_resolve)
         run_trials(_uniform_trial, 4, seed=5, executor="processes")
         assert created and all(ex.closed for ex in created)
-
-    def test_simulator_context_manager(self):
-        with MapReduceSimulator(10, 2, rng=0, executor="processes") as sim:
-            g = gnp(10, 0.3, 1)
-            sim.load([g.edges[:2], g.edges[2:]])
-        assert sim.executor.closed
 
 
 def _uniform_trial(s):
