@@ -10,8 +10,8 @@ A protocol in the paper's model is fully described by three pieces of code
   Remark 5.8 vertex grouping) that every machine sees identically.
 
 :func:`run_simultaneous` executes a protocol over a partitioned graph: it
-derives one independent generator per machine (plus one for the public
-setup) from a single seed, collects one message per machine, charges every
+derives one independent seed per machine (plus one for the public setup)
+from a single seed, collects one message per machine, charges every
 message to the :class:`~repro.dist.ledger.CommunicationLedger`, and hands
 the messages to the coordinator.  Given the same seed and partition the
 whole run is bit-identical — the reproducibility contract every experiment
@@ -35,7 +35,7 @@ from repro.dist.shm import ResidentGraph
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.edgelist import Graph
 from repro.graph.partition import SeededRecipe
-from repro.utils.rng import RandomState, spawn_generators
+from repro.utils.rng import RandomState, spawn_seeds
 
 __all__ = [
     "Coordinator",
@@ -174,14 +174,16 @@ def _summarize_machine(task: tuple) -> Message:
 
     The task names the graph (the executor's resident reference) and the
     partition's recipe for machine ``index``; the piece is cut here, on
-    the machine.  Module-level on purpose: the pooled backends pickle this
-    function (and its task tuple) into a worker, which a closure could not
-    survive.
+    the machine, and the machine's generator is built here from its
+    spawned ``SeedSequence``.  Module-level on purpose: the pooled
+    backends pickle this function (and its task tuple) into a worker,
+    which a closure could not survive.
     """
-    graph, recipe, index, gen, summarizer, public = task
+    graph, recipe, index, seed, summarizer, public = task
     if isinstance(graph, ResidentGraph):
         graph = graph.open()
-    machine = Machine(index=index, piece=recipe.piece(graph, index), rng=gen)
+    machine = Machine(index=index, piece=recipe.piece(graph, index),
+                      rng=np.random.default_rng(seed))
     return machine.summarize(summarizer, public)
 
 
@@ -209,11 +211,11 @@ def run_simultaneous(
     in ``docs/PARALLELISM.md``).  A machine's task is a reference, not a
     piece: the executor's resident reference to the graph
     (:meth:`~repro.dist.executor.Executor.resident`), the partition's
-    recipe for that machine, its index, generator, summarizer and public
-    setup.  The machine cuts its own piece, so the coordinator never
-    builds or ships the k pieces, and a random partition's task pickles
-    to O(1) bytes in the edge count.  The pooled backends additionally
-    require the summarizer to be picklable.
+    recipe for that machine, its index, its spawned seed, the summarizer
+    and the public setup.  The machine cuts its own piece, so the
+    coordinator never builds or ships the k pieces, and a random
+    partition's task pickles to O(1) bytes in the edge count.  The
+    pooled backends additionally require the summarizer to be picklable.
 
     An executor resolved here (by name or from the environment) is closed
     before returning; a passed-in :class:`~repro.dist.executor.Executor`
@@ -222,13 +224,13 @@ def run_simultaneous(
     """
     graph = partition.graph
     k = partition.k
-    gens = spawn_generators(rng, k + 1)
+    seeds = spawn_seeds(rng, k + 1)
     backend = resolve_executor(executor)
     owns_backend = not isinstance(executor, Executor)
 
     try:
         public = (
-            protocol.public_setup(graph, k, gens[k])
+            protocol.public_setup(graph, k, np.random.default_rng(seeds[k]))
             if protocol.public_setup is not None
             else None
         )
@@ -238,7 +240,7 @@ def run_simultaneous(
         ref = backend.resident(graph) if k > 1 else graph
         recipes = [partition.recipe(i) for i in range(k)]
         tasks = [
-            (ref, recipes[i], i, gens[i], protocol.summarizer, public)
+            (ref, recipes[i], i, seeds[i], protocol.summarizer, public)
             for i in range(k)
         ]
         # A random partition's pieces are about the same size, so its

@@ -120,6 +120,18 @@ class Graph:
         return deg
 
     @cached_property
+    def first_endpoint_offsets(self) -> np.ndarray:
+        """``(n_vertices + 1,)`` int64 row offsets by first endpoint: the
+        edges ``(v, w)`` with ``v < w`` are rows ``offsets[v]`` to
+        ``offsets[v + 1]`` of :attr:`edges`, one block, since the edges are
+        key-sorted."""
+        offsets = np.zeros(self._n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self._edges[:, 0], minlength=self._n),
+                  out=offsets[1:])
+        offsets.setflags(write=False)
+        return offsets
+
+    @cached_property
     def max_degree(self) -> int:
         return int(self.degrees.max()) if self._n else 0
 

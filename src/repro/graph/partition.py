@@ -142,8 +142,12 @@ class PartitionedGraph:
 # --------------------------------------------------------------------- #
 # Recipes: how a machine that holds the graph cuts its own piece
 # --------------------------------------------------------------------- #
-#: Machine ids drawn per chunk; the int64 draw never exceeds one chunk.
-_DRAW_CHUNK = 1 << 16
+#: Machine ids drawn per chunk, so that a chunk's temporaries stay in cache.
+_DRAW_CHUNK = 1 << 15
+
+#: The most machines a random partition takes: numpy draws every bounded
+#: integer below 2**32 from 32-bit draws, which :func:`_fill` reproduces.
+_MAX_K = 1 << 32
 
 
 class _Draw:
@@ -161,13 +165,12 @@ class _Draw:
         """The ``m`` machine ids ``integers(0, k, size=m, dtype=int64)``
         draws, stored in the narrowest type holding ``k - 1``."""
         if isinstance(self.seed, np.random.SeedSequence):
-            gen = np.random.default_rng(self.seed)
+            bit_generator = np.random.PCG64(self.seed)
         else:
             bit_generator = getattr(np.random, self.seed["bit_generator"])()
             bit_generator.state = self.seed
-            gen = np.random.Generator(bit_generator)
         out = np.empty(m, dtype=np.min_scalar_type(k - 1))
-        _fill(gen, out, k)
+        _fill(bit_generator, out, k)
         return out
 
     def __getstate__(self) -> object:
@@ -177,15 +180,57 @@ class _Draw:
         self.__init__(seed)  # type: ignore[misc]
 
 
-def _fill(gen: np.random.Generator, out: np.ndarray, k: int) -> None:
-    """Fill ``out`` with the ids ``gen.integers(0, k, size=out.size,
-    dtype=int64)`` draws.  They are drawn in chunks: below 2**32 numpy
-    draws each bounded int64 from the bit generator alone, so the chunks
-    continue one stream."""
-    for start in range(0, out.size, _DRAW_CHUNK):
-        stop = min(start + _DRAW_CHUNK, out.size)
-        out[start:stop] = gen.integers(0, k, size=stop - start,
-                                       dtype=np.int64)
+def _check_k(k: int) -> None:
+    """Refuse a random partition's ``k`` below 1 or above :data:`_MAX_K`
+    (past it, the ledger's per-player array alone would need 32 GiB)."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    if k > _MAX_K:
+        raise ValueError(
+            f"a random partition takes at most 2**32 machines, got k={k}")
+
+
+def _fill(bit_generator: np.random.BitGenerator, out: np.ndarray,
+          k: int) -> None:
+    """Fill ``out`` with the ids ``Generator(bit_generator).integers(0, k,
+    size=out.size, dtype=int64)`` draws, for ``k <= 2**32``.
+
+    numpy turns 32-bit draws into ids by Lemire's multiply-and-reject rule
+    (Lemire 2019, arXiv:1805.10941): a draw ``u`` gives the id
+    ``(u * k) >> 32``, unless ``(u * k) mod 2**32 < 2**32 mod k``, when it
+    is rejected and the next draw is tried.  A rejection depends on its
+    draw alone, so filtering the raw stream, one chunk after another,
+    gives the same ids.  MT19937's raw words are its 32-bit draws; the
+    other bit generators yield each 64-bit word's low half, then its high
+    half, after the half they carry when ``has_uint32`` is set.
+    """
+    _check_k(k)
+    reject_below = (1 << 32) % k
+    halves = not isinstance(bit_generator, np.random.MT19937)
+    carried = np.zeros(0, dtype=np.uint32)
+    if halves:
+        state = bit_generator.state
+        if state["has_uint32"]:
+            carried = np.array([state["uinteger"]], dtype=np.uint32)
+    start = 0
+    while start < out.size:
+        n = min(_DRAW_CHUNK, out.size - start)
+        if halves:
+            words = bit_generator.random_raw((n - carried.size + 1) // 2)
+            u = words.astype("<u8", copy=False).view("<u4")
+            if carried.size:
+                u = np.concatenate((carried, u))
+            u, carried = u[:n], u[n:]
+        else:
+            u = bit_generator.random_raw(n)
+        draws = np.multiply(u, np.uint64(k), dtype=np.uint64)
+        if reject_below:
+            kept = draws.astype(np.uint32) >= reject_below
+            if not kept.all():
+                draws = draws[kept]
+        draws >>= np.uint64(32)
+        out[start:start + draws.size] = draws
+        start += draws.size
 
 
 class _ShuffleDraw(_Draw):
@@ -223,7 +268,7 @@ def _routed(sources: np.ndarray, routes: tuple, k: int) -> np.ndarray:
     start = 0
     children = np.random.SeedSequence(routes).spawn(k)
     for child, count in zip(children, np.bincount(sources, minlength=k)):
-        _fill(np.random.default_rng(child), routed[start:start + count], k)
+        _fill(np.random.PCG64(child), routed[start:start + count], k)
         start += count
     keys = np.empty_like(routed)
     keys[order] = routed
@@ -311,10 +356,10 @@ def random_k_partition(
     until a piece or the assignment is asked for.  Given a live
     ``Generator``, the assignment is drawn at once, so the caller's stream
     advances exactly as by ``rng.integers(0, k, size=m)``; the partition
-    keeps the generator's prior state as its draw.
+    keeps the generator's prior state as its draw.  ``k`` is at most
+    2**32.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_k(k)
     if isinstance(rng, np.random.Generator):
         draw = _Draw(rng.bit_generator.state)
         assignment = rng.integers(0, k, size=graph.n_edges, dtype=np.int64)
@@ -347,8 +392,7 @@ def shuffled_k_partition(
     """
     if placement not in PLACEMENTS:
         raise ValueError(f"unknown initial placement {placement!r}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    _check_k(k)
     gen = as_generator(rng)
     routes = tuple(root_seed(gen).entropy)
     placed = None

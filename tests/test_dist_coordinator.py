@@ -13,6 +13,7 @@ from repro.dist.message import Message
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.generators import bipartite_gnp, gnp
 from repro.graph.partition import random_k_partition
+from repro.utils.rng import spawn_generators
 
 
 # Module-level summarizers (not closures) so this file also runs under
@@ -38,6 +39,14 @@ def _token_checking_summarize(piece, machine_index, rng, public=None):
 
 def _count_combine(coordinator, messages):
     return len(messages)
+
+
+def _drawing_summarize(piece, machine_index, rng, public=None):
+    return Message(sender=machine_index, aux_bits=int(rng.integers(2**30)))
+
+
+def _aux_combine(coordinator, messages):
+    return [m.aux_bits for m in messages]
 
 
 class TestRunSimultaneous:
@@ -87,6 +96,33 @@ class TestRunSimultaneous:
         res = run_simultaneous(proto, part, rng)
         assert res.output == 3
         assert calls == [3]
+
+
+    def test_streams_are_the_spawned_children(self):
+        """Each task carries its machine's spawned ``SeedSequence``, not a
+        generator; machine ``i`` draws as ``spawn_generators(seed, k +
+        1)[i]`` and the public setup as the last child."""
+        from repro.dist.executor import SerialExecutor
+
+        class Recording(SerialExecutor):
+            def map(self, fn, tasks, **kw):
+                self.tasks = list(tasks)
+                return super().map(fn, self.tasks, **kw)
+
+        public = []
+        proto = SimultaneousProtocol(
+            "draws", _drawing_summarize, _aux_combine,
+            public_setup=lambda graph, k, gen: public.append(
+                int(gen.integers(2**30))))
+        part = random_k_partition(gnp(20, 0.3, 1), 5, 2)
+        with Recording() as ex:
+            res = run_simultaneous(proto, part, 9, executor=ex)
+        assert all(isinstance(task[3], np.random.SeedSequence)
+                   for task in ex.tasks)
+        gens = spawn_generators(9, 6)
+        assert res.output == [int(g.integers(2**30)) for g in gens[:5]]
+        assert public == [int(gens[5].integers(2**30))]
+        assert res.output == run_simultaneous(proto, part, 9).output
 
 
 class TestCoordinator:

@@ -4,6 +4,8 @@ import pickle
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from repro.graph.bipartite import BipartiteGraph
 from repro.graph.capacity import (
@@ -13,10 +15,13 @@ from repro.graph.capacity import (
 from repro.graph.edgelist import Graph
 from repro.graph.generators import bipartite_gnp, gnp
 from repro.graph.partition import (
+    _DRAW_CHUNK,
     PartitionedGraph,
+    _Draw,
     adversarial_degree_partition,
     partition_by_assignment,
     random_k_partition,
+    shuffled_k_partition,
 )
 from repro.graph.validation import check_partition
 from repro.graph.weights import WeightedGraph, has_edge_weights
@@ -159,6 +164,91 @@ class TestRandomKPartition:
         for i in range(p.k):
             seen[p.assignment == i] += 1
         assert (seen == 1).all()
+
+
+# --------------------------------------------------------------------- #
+# the machine-id draw reproduces Generator.integers from the raw stream
+# --------------------------------------------------------------------- #
+BIT_GENERATORS = ("PCG64", "PCG64DXSM", "Philox", "SFC64", "MT19937")
+# 2**31 + 1 rejects about half its 32-bit draws, 3 * 2**30 a quarter;
+# 2**32 is the largest k, whose ids are the draws themselves.
+DRAW_KS = (1, 2, 3, 7, 8, 63, 2**31 + 1, 3 * 2**30, 2**32)
+DRAW_MS = (0, 1, 7, _DRAW_CHUNK - 1, _DRAW_CHUNK + 1, 2 * _DRAW_CHUNK + 1)
+
+
+def _state(name: str, seed: int, carried: bool, half: int) -> dict:
+    """A state of bit generator ``name``: for the 64-bit generators, one
+    carrying the 32-bit ``half`` when ``carried``; for MT19937, which
+    carries none, one part-way through its block when ``carried``."""
+    bit_generator = getattr(np.random, name)(seed)
+    if name == "MT19937":
+        bit_generator.random_raw(3 if carried else 0)
+    else:
+        state = bit_generator.state
+        state["has_uint32"], state["uinteger"] = int(carried), half
+        bit_generator.state = state
+    return bit_generator.state
+
+
+def _integers(state: dict, m: int, k: int) -> np.ndarray:
+    bit_generator = getattr(np.random, state["bit_generator"])()
+    bit_generator.state = state
+    return np.random.Generator(bit_generator).integers(
+        0, k, size=m, dtype=np.int64)
+
+
+def _assert_keys(draw: _Draw, m: int, k: int, want: np.ndarray) -> None:
+    got = draw.keys(m, k)
+    assert got.dtype == np.min_scalar_type(k - 1)
+    np.testing.assert_array_equal(got, want)
+
+
+class TestRawStreamDraw:
+    @pytest.mark.parametrize("k", DRAW_KS)
+    def test_every_generator_and_length(self, k):
+        seq = np.random.SeedSequence(2024)
+        for m in DRAW_MS:
+            _assert_keys(_Draw(seq), m, k, np.random.default_rng(seq).integers(
+                0, k, size=m, dtype=np.int64))
+        for name in BIT_GENERATORS:
+            for carried in (False, True):
+                state = _state(name, 2024, carried, 0xDEADBEEF)
+                for m in DRAW_MS:
+                    _assert_keys(_Draw(state), m, k, _integers(state, m, k))
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.sampled_from(BIT_GENERATORS), st.integers(0, 2**63),
+           st.booleans(), st.integers(0, 2**32 - 1),
+           st.one_of(st.sampled_from(DRAW_KS), st.integers(1, 2**32)),
+           st.one_of(st.sampled_from(DRAW_MS), st.integers(0, 300)))
+    def test_state_form_equals_integers(self, name, seed, carried, half,
+                                        k, m):
+        state = _state(name, seed, carried, half)
+        _assert_keys(_Draw(state), m, k, _integers(state, m, k))
+
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(0, 2**128),
+           st.one_of(st.sampled_from(DRAW_KS), st.integers(1, 2**32)),
+           st.one_of(st.sampled_from(DRAW_MS), st.integers(0, 300)))
+    @example(0, 2**31 + 1, 2 * _DRAW_CHUNK + 1)
+    def test_seed_form_equals_integers(self, entropy, k, m):
+        seq = np.random.SeedSequence(entropy)
+        want = np.random.default_rng(seq).integers(0, k, size=m,
+                                                   dtype=np.int64)
+        _assert_keys(_Draw(seq), m, k, want)
+
+    def test_k_past_2_to_the_32_is_refused(self):
+        g = gnp(20, 0.3, 1)
+        k = 2**32 + 1
+        live = np.random.default_rng(3)
+        for make in (lambda: random_k_partition(g, k, 3),
+                     lambda: random_k_partition(g, k, live),
+                     lambda: shuffled_k_partition(g, k, 3),
+                     lambda: _Draw(np.random.SeedSequence(3)).keys(5, k)):
+            with pytest.raises(ValueError, match=r"2\*\*32"):
+                make()
 
 
 class TestExplicitPartitions:
