@@ -20,28 +20,22 @@ def cover_mask(graph: Graph, cover: np.ndarray) -> np.ndarray:
     return mask
 
 
-def _edge_hits(graph: Graph, mask: np.ndarray) -> np.ndarray:
-    """Per edge, nonzero iff the cover ``mask`` holds an endpoint.
+def _edge_hits(graph: Graph, cover: np.ndarray) -> np.ndarray:
+    """Per edge, nonzero iff ``cover`` holds an endpoint.
 
-    One contiguous gather of the mask over the raveled ``(m, 2)`` edge
-    array gives each edge's two endpoint flags in adjacent bytes, read
-    together as one ``uint16``; two column gathers would stride through
-    the edge array twice.
+    One contiguous gather of the cover mask over the raveled ``(m, 2)``
+    edge array gives each edge's two endpoint flags in adjacent bytes,
+    read together as one ``uint16``; two column gathers would stride
+    through the edge array twice.
     """
+    mask = cover_mask(graph, cover)
     return mask[graph.edges.ravel()].view(np.uint16)
 
 
 def uncovered_edges(graph: Graph, cover: np.ndarray) -> np.ndarray:
     """Edges of ``graph`` with neither endpoint in ``cover`` (certificate of
     infeasibility when non-empty)."""
-    return graph.edges[_edge_hits(graph, cover_mask(graph, cover)) == 0]
-
-
-#: The share of the edges past which :func:`is_vertex_cover` reads every
-#: endpoint in one gather rather than the blocks of open first endpoints.
-#: On an 840 000-edge graph the blocks cost as much as the gather at a
-#: share of about 0.3, and twice as much at 0.7.
-_BLOCK_SHARE = 0.25
+    return graph.edges[_edge_hits(graph, cover) == 0]
 
 
 def is_vertex_cover(graph: Graph, cover: np.ndarray) -> bool:
@@ -50,19 +44,15 @@ def is_vertex_cover(graph: Graph, cover: np.ndarray) -> bool:
     An edge whose first (smaller) endpoint is in the cover is covered, so
     only the rows of the other first endpoints need their second endpoint
     read.  The edges are key-sorted, so those rows are whole blocks
-    (:attr:`~repro.graph.edgelist.Graph.first_endpoint_offsets`).  Past
-    a quarter of the edges, one gather over all endpoints is cheaper.
+    (:attr:`~repro.graph.edgelist.Graph.first_endpoint_blocks`).
     """
     mask = cover_mask(graph, cover)
-    offsets = graph.first_endpoint_offsets
-    heads = np.flatnonzero(~mask)
-    starts = offsets[heads]
-    lengths = offsets[heads + 1] - starts
-    total = int(lengths.sum())
-    if total > _BLOCK_SHARE * graph.n_edges:
-        return bool(_edge_hits(graph, mask).all())
+    heads, offsets = graph.first_endpoint_blocks
+    open_blocks = np.flatnonzero(~mask[heads])
+    starts = offsets[open_blocks]
+    lengths = offsets[open_blocks + 1] - starts
     # Row j of the concatenated blocks is its block's start plus j, less
     # the rows of the blocks before it.
-    rows = np.arange(total) + np.repeat(
+    rows = np.arange(lengths.sum()) + np.repeat(
         starts - (np.cumsum(lengths) - lengths), lengths)
     return bool(mask[graph.edges[rows, 1]].all())

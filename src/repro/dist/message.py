@@ -11,10 +11,8 @@ exact bit cost under the standard encoding of :mod:`repro.utils.bits`.
 Messages are immutable: their arrays are canonicalized to read-only int64
 so a ledger or a combiner can hold references without defensive copies.
 Two messages are equal when they say the same thing; like their arrays,
-they are unhashable.  On the wire (pickled from a pool or remote worker)
-the ids travel in the narrowest of uint16 and uint32 that holds them —
-about the ``⌈log₂ n⌉`` bits the ledger charges per id — and unpickle to
-the same read-only int64 arrays.
+they are unhashable.  A message pickled from a pool or remote worker
+unpickles to the same read-only int64 arrays.
 """
 
 from __future__ import annotations
@@ -55,17 +53,6 @@ def _as_vertex_array(vertices: np.ndarray | Sequence | None) -> np.ndarray:
     arr = np.ascontiguousarray(arr)
     arr.setflags(write=False)
     return arr
-
-
-def _narrow(ids: np.ndarray) -> np.ndarray:
-    """``ids`` in the narrowest of uint16 and uint32 that holds them all;
-    unchanged when one is negative or at least 2**32, or there are none."""
-    if ids.size and ids.min() >= 0:
-        top = ids.max()
-        for dtype in (np.uint16, np.uint32):
-            if top <= np.iinfo(dtype).max:
-                return ids.astype(dtype)
-    return ids
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,8 +130,8 @@ class Message:
     __hash__ = None  # type: ignore[assignment]
 
     def __reduce__(self) -> tuple:
-        return Message, (self.sender, _narrow(self.edges),
-                         _narrow(self.fixed_vertices), self.aux_bits)
+        return Message, (self.sender, self.edges, self.fixed_vertices,
+                         self.aux_bits)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

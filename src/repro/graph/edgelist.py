@@ -120,16 +120,23 @@ class Graph:
         return deg
 
     @cached_property
-    def first_endpoint_offsets(self) -> np.ndarray:
-        """``(n_vertices + 1,)`` int64 row offsets by first endpoint: the
-        edges ``(v, w)`` with ``v < w`` are rows ``offsets[v]`` to
-        ``offsets[v + 1]`` of :attr:`edges`, one block, since the edges are
-        key-sorted."""
-        offsets = np.zeros(self._n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self._edges[:, 0], minlength=self._n),
-                  out=offsets[1:])
+    def first_endpoint_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct first endpoints of :attr:`edges`, ascending, and the
+        int64 row offsets of their blocks, one longer: the edges ``(v, w)``
+        with ``v < w`` of the ``j``-th first endpoint ``v`` are rows
+        ``offsets[j]`` to ``offsets[j + 1]``, one block, since the edges
+        are key-sorted.  Both hold at most ``n_edges + 1`` entries."""
+        first = self._edges[:, 0]
+        if first.size:
+            offsets = np.concatenate(
+                ([0], np.flatnonzero(first[1:] != first[:-1]) + 1,
+                 [first.size]))
+        else:
+            offsets = np.zeros(1, dtype=np.int64)
+        heads = first[offsets[:-1]]
+        heads.setflags(write=False)
         offsets.setflags(write=False)
-        return offsets
+        return heads, offsets
 
     @cached_property
     def max_degree(self) -> int:

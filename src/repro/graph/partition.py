@@ -191,7 +191,7 @@ def _check_k(k: int) -> None:
 
 
 def _fill(bit_generator: np.random.BitGenerator, out: np.ndarray,
-          k: int) -> None:
+          k: int) -> "tuple[int, int] | None":
     """Fill ``out`` with the ids ``Generator(bit_generator).integers(0, k,
     size=out.size, dtype=int64)`` draws, for ``k <= 2**32``.
 
@@ -202,21 +202,33 @@ def _fill(bit_generator: np.random.BitGenerator, out: np.ndarray,
     draw alone, so filtering the raw stream, one chunk after another,
     gives the same ids.  MT19937's raw words are its 32-bit draws; the
     other bit generators yield each 64-bit word's low half, then its high
-    half, after the half they carry when ``has_uint32`` is set.
+    half, after the half they carry when ``has_uint32`` is set.  A single
+    machine draws nothing.
+
+    The raw stream advances as by ``integers``; the carried half it would
+    leave, ``(has_uint32, uinteger)``, is returned for
+    :func:`_fill_live` to set (``None`` for MT19937, or when nothing was
+    drawn).
     """
     _check_k(k)
+    if k == 1:
+        out[...] = 0
+        return None
     reject_below = (1 << 32) % k
     halves = not isinstance(bit_generator, np.random.MT19937)
     carried = np.zeros(0, dtype=np.uint32)
     if halves:
         state = bit_generator.state
+        kept_half = state["uinteger"]
         if state["has_uint32"]:
-            carried = np.array([state["uinteger"]], dtype=np.uint32)
+            carried = np.array([kept_half], dtype=np.uint32)
     start = 0
     while start < out.size:
         n = min(_DRAW_CHUNK, out.size - start)
         if halves:
             words = bit_generator.random_raw((n - carried.size + 1) // 2)
+            if words.size:
+                kept_half = int(words[-1]) >> 32
             u = words.astype("<u8", copy=False).view("<u4")
             if carried.size:
                 u = np.concatenate((carried, u))
@@ -231,6 +243,19 @@ def _fill(bit_generator: np.random.BitGenerator, out: np.ndarray,
         draws >>= np.uint64(32)
         out[start:start + draws.size] = draws
         start += draws.size
+    if not (halves and out.size):
+        return None
+    return carried.size, kept_half
+
+
+def _fill_live(gen: np.random.Generator, out: np.ndarray, k: int) -> None:
+    """:func:`_fill` from a caller's generator, which is left where
+    ``gen.integers`` leaves it, carried half included."""
+    carried = _fill(gen.bit_generator, out, k)
+    if carried is not None:
+        state = gen.bit_generator.state
+        state["has_uint32"], state["uinteger"] = carried
+        gen.bit_generator.state = state
 
 
 class _ShuffleDraw(_Draw):
@@ -362,7 +387,8 @@ def random_k_partition(
     _check_k(k)
     if isinstance(rng, np.random.Generator):
         draw = _Draw(rng.bit_generator.state)
-        assignment = rng.integers(0, k, size=graph.n_edges, dtype=np.int64)
+        assignment = np.empty(graph.n_edges, dtype=np.int64)
+        _fill_live(rng, assignment, k)
         return PartitionedGraph(graph, k, assignment, draw=draw)
     if not isinstance(rng, np.random.SeedSequence):
         rng = np.random.SeedSequence(rng)
@@ -398,8 +424,8 @@ def shuffled_k_partition(
     placed = None
     if placement == "random":
         placed = gen.bit_generator.state
-        sources = gen.integers(0, k, size=graph.n_edges, dtype=np.int64)
-        sources = sources.astype(np.min_scalar_type(k - 1))
+        sources = np.empty(graph.n_edges, dtype=np.min_scalar_type(k - 1))
+        _fill_live(gen, sources, k)
     else:
         sources = _placed(graph.n_edges, k, None)
     keys = _routed(sources, routes, k)

@@ -18,6 +18,7 @@ from repro.graph.partition import (
     _DRAW_CHUNK,
     PartitionedGraph,
     _Draw,
+    _fill_live,
     adversarial_degree_partition,
     partition_by_assignment,
     random_k_partition,
@@ -85,8 +86,27 @@ class TestRandomKPartition:
         part = random_k_partition(g, 5, given)
         expected = reference.integers(0, 5, size=g.n_edges, dtype=np.int64)
         np.testing.assert_array_equal(part.assignment, expected)
-        # The caller's next draw is the one it would have been.
+        # The caller's next draws are the ones they would have been, a
+        # 32-bit draw (which reads a carried half) among them.
+        assert g.n_edges % 2
+        assert _same_state(given.bit_generator, reference.bit_generator)
+        assert given.random(dtype=np.float32) == reference.random(
+            dtype=np.float32)
         assert given.random() == reference.random()
+
+    def test_random_placement_advances_the_stream_as_before(self):
+        """A random round-0 placement is drawn from the caller's
+        generator after its route streams, as by ``integers``."""
+        from repro.utils.rng import root_seed
+
+        g = gnp(80, 0.2, 3)
+        given = np.random.default_rng(17)
+        reference = np.random.default_rng(17)
+        _, sources = shuffled_k_partition(g, 5, given, placement="random")
+        root_seed(reference)
+        np.testing.assert_array_equal(
+            sources, reference.integers(0, 5, size=g.n_edges))
+        assert _same_state(given.bit_generator, reference.bit_generator)
 
     @pytest.mark.parametrize("seed", [
         7, np.random.SeedSequence(123).spawn(2)[0],
@@ -190,17 +210,39 @@ def _state(name: str, seed: int, carried: bool, half: int) -> dict:
     return bit_generator.state
 
 
-def _integers(state: dict, m: int, k: int) -> np.ndarray:
+def _bit_generator(state: dict) -> np.random.BitGenerator:
     bit_generator = getattr(np.random, state["bit_generator"])()
     bit_generator.state = state
-    return np.random.Generator(bit_generator).integers(
+    return bit_generator
+
+
+def _integers(state: dict, m: int, k: int) -> np.ndarray:
+    return np.random.Generator(_bit_generator(state)).integers(
         0, k, size=m, dtype=np.int64)
+
+
+def _same_state(a: np.random.BitGenerator, b: np.random.BitGenerator) -> bool:
+    """Equal states, the carried half and the arrays some states hold
+    included."""
+    return pickle.dumps(a.state) == pickle.dumps(b.state)
 
 
 def _assert_keys(draw: _Draw, m: int, k: int, want: np.ndarray) -> None:
     got = draw.keys(m, k)
     assert got.dtype == np.min_scalar_type(k - 1)
     np.testing.assert_array_equal(got, want)
+
+
+def _assert_live(state: dict, m: int, k: int) -> None:
+    """Drawn on a live bit generator, the ids are those of ``integers``,
+    and the bit generator is left where ``integers`` leaves it."""
+    reference = np.random.Generator(_bit_generator(state))
+    want = reference.integers(0, k, size=m, dtype=np.int64)
+    live = np.random.Generator(_bit_generator(state))
+    got = np.empty(m, dtype=np.int64)
+    _fill_live(live, got, k)
+    np.testing.assert_array_equal(got, want)
+    assert _same_state(live.bit_generator, reference.bit_generator)
 
 
 class TestRawStreamDraw:
@@ -215,6 +257,7 @@ class TestRawStreamDraw:
                 state = _state(name, 2024, carried, 0xDEADBEEF)
                 for m in DRAW_MS:
                     _assert_keys(_Draw(state), m, k, _integers(state, m, k))
+                    _assert_live(state, m, k)
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -226,6 +269,7 @@ class TestRawStreamDraw:
                                         k, m):
         state = _state(name, seed, carried, half)
         _assert_keys(_Draw(state), m, k, _integers(state, m, k))
+        _assert_live(state, m, k)
 
     @settings(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])

@@ -1,8 +1,6 @@
 """Hypothesis property-based tests on the core data structures and the
 paper's structural invariants."""
 
-from unittest import mock
-
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -244,10 +242,49 @@ def test_is_matching_equals_baseline(case):
 # --------------------------------------------------------------------- #
 # the vertex-cover certificate
 # --------------------------------------------------------------------- #
+@st.composite
+def typed_graphs(draw):
+    """A graph of any of the library's five types, empty ones included:
+    the cover check reads ``first_endpoint_blocks`` of every type."""
+    from repro.graph.capacity import (
+        CapacitatedBipartiteGraph,
+        WeightedBipartiteGraph,
+    )
+    from repro.graph.weights import WeightedGraph
+
+    kind = draw(st.sampled_from(["Graph", "WeightedGraph", "BipartiteGraph",
+                                 "WeightedBipartiteGraph",
+                                 "CapacitatedBipartiteGraph"]))
+    if kind in ("Graph", "WeightedGraph"):
+        n = draw(st.integers(0, 30))
+        ends = (st.integers(0, n - 1),) * 2 if n else None
+    else:
+        n_left, n_right = draw(st.integers(0, 15)), draw(st.integers(0, 15))
+        ends = (st.integers(0, n_left - 1),
+                st.integers(n_left, n_left + n_right - 1)) \
+            if n_left and n_right else None
+    pairs = draw(st.lists(st.tuples(*ends), max_size=80)) if ends else []
+    edges = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    weights = np.arange(1.0, edges.shape[0] + 1.0)
+    if kind == "Graph":
+        return Graph(n, edges)
+    if kind == "WeightedGraph":
+        return WeightedGraph(n, edges, weights)
+    if kind == "BipartiteGraph":
+        return BipartiteGraph(n_left, n_right, edges)
+    if kind == "WeightedBipartiteGraph":
+        return WeightedBipartiteGraph(n_left, n_right, edges, weights)
+    return CapacitatedBipartiteGraph(n_left, n_right, edges, weights)
+
+
 def _assert_cover_verdict(g, cover):
     from oracles import _baseline_uncovered_edges
     from repro.cover.verify import is_vertex_cover, uncovered_edges
 
+    heads, offsets = g.first_endpoint_blocks
+    assert (np.diff(heads) > 0).all() and offsets[-1] == g.n_edges
+    np.testing.assert_array_equal(np.repeat(heads, np.diff(offsets)),
+                                  g.edges[:, 0])
     want = _baseline_uncovered_edges(g, cover)
     got = uncovered_edges(g, cover)
     assert got.dtype == np.int64
@@ -269,11 +306,12 @@ def _minimal_cover(g):
 
 @st.composite
 def cover_candidates(draw):
-    """A graph, possibly edgeless, and a candidate cover: random ids with
-    repeats, the empty cover included."""
-    g = draw(graphs())
-    cover = draw(st.lists(st.integers(0, g.n_vertices - 1),
-                          max_size=2 * g.n_vertices))
+    """A graph of any type, possibly edgeless or vertexless, and a
+    candidate cover: random ids with repeats, the empty cover included."""
+    g = draw(st.one_of(graphs(), typed_graphs()))
+    n = g.n_vertices
+    cover = draw(st.lists(st.integers(0, n - 1), max_size=2 * n)) if n \
+        else []
     return g, np.asarray(cover, dtype=np.int64)
 
 
@@ -282,12 +320,16 @@ def cover_candidates(draw):
 @example((Graph(4), np.zeros(0, dtype=np.int64)))
 @example((Graph(4), np.array([2, 2, 0])))
 @example((Graph(3, [(0, 1), (1, 2)]), np.array([1, 1])))
+@example((Graph(0), np.zeros(0, dtype=np.int64)))
+@example((BipartiteGraph(0, 0), np.zeros(0, dtype=np.int64)))
+@example((BipartiteGraph(3, 2), np.zeros(0, dtype=np.int64)))
+@example((BipartiteGraph(3, 2), np.arange(5)))
 def test_cover_verifier_equals_per_edge_oracle(case):
     _assert_cover_verdict(*case)
 
 
 @SETTINGS
-@given(graphs(), st.data())
+@given(st.one_of(graphs(), typed_graphs()), st.data())
 def test_cover_verifier_rejects_a_minimal_cover_less_one_vertex(g, data):
     """A minimal cover passes; without any one of its vertices some edge
     is left uncovered, and the verifier must say so."""
@@ -322,102 +364,6 @@ def test_cover_verifier_rejects_out_of_range_ids(case):
     for check in (is_vertex_cover, uncovered_edges):
         with pytest.raises(ValueError, match="out of range"):
             check(*case)
-
-
-@st.composite
-def typed_graphs(draw):
-    """A graph of any of the library's five types, empty ones included:
-    the block check reads ``first_endpoint_offsets`` of every type."""
-    from repro.graph.capacity import (
-        CapacitatedBipartiteGraph,
-        WeightedBipartiteGraph,
-    )
-    from repro.graph.weights import WeightedGraph
-
-    kind = draw(st.sampled_from(["Graph", "WeightedGraph", "BipartiteGraph",
-                                 "WeightedBipartiteGraph",
-                                 "CapacitatedBipartiteGraph"]))
-    if kind in ("Graph", "WeightedGraph"):
-        n = draw(st.integers(0, 30))
-        ends = (st.integers(0, n - 1),) * 2 if n else None
-    else:
-        n_left, n_right = draw(st.integers(0, 15)), draw(st.integers(0, 15))
-        ends = (st.integers(0, n_left - 1),
-                st.integers(n_left, n_left + n_right - 1)) \
-            if n_left and n_right else None
-    pairs = draw(st.lists(st.tuples(*ends), max_size=80)) if ends else []
-    edges = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    weights = np.arange(1.0, edges.shape[0] + 1.0)
-    if kind == "Graph":
-        return Graph(n, edges)
-    if kind == "WeightedGraph":
-        return WeightedGraph(n, edges, weights)
-    if kind == "BipartiteGraph":
-        return BipartiteGraph(n_left, n_right, edges)
-    if kind == "WeightedBipartiteGraph":
-        return WeightedBipartiteGraph(n_left, n_right, edges, weights)
-    return CapacitatedBipartiteGraph(n_left, n_right, edges, weights)
-
-
-def _verdict_on_each_path(g, cover) -> bool:
-    """``is_vertex_cover`` with the single gather forced whenever a row is
-    open (share 0), by default, and with the blocks forced (share 1); each
-    verdict must be the per-edge oracle's."""
-    from oracles import _baseline_uncovered_edges
-    from repro.cover import verify
-
-    want = _baseline_uncovered_edges(g, cover).shape[0] == 0
-    for share in (0.0, verify._BLOCK_SHARE, 1.0):
-        with mock.patch.object(verify, "_BLOCK_SHARE", share):
-            assert verify.is_vertex_cover(g, cover) is want
-    return want
-
-
-@SETTINGS
-@given(typed_graphs(), st.data())
-def test_block_cover_check_equals_oracle_on_every_type(g, data):
-    offsets = g.first_endpoint_offsets
-    assert offsets.shape == (g.n_vertices + 1,) and offsets[-1] == g.n_edges
-    np.testing.assert_array_equal(
-        np.repeat(np.arange(g.n_vertices), np.diff(offsets)), g.edges[:, 0])
-    held = data.draw(st.lists(st.booleans(), min_size=g.n_vertices,
-                              max_size=g.n_vertices))
-    _verdict_on_each_path(g, np.flatnonzero(held))
-    cover = _minimal_cover(g)
-    assert _verdict_on_each_path(g, cover)
-    if cover.size:
-        short = np.delete(cover, data.draw(st.integers(0, cover.size - 1)))
-        assert not _verdict_on_each_path(g, short)
-
-
-def test_block_cover_check_on_empty_graphs():
-    for g in (Graph(0), BipartiteGraph(0, 0), Graph(5), BipartiteGraph(3, 2)):
-        for cover in (np.zeros(0, dtype=np.int64), np.arange(g.n_vertices)):
-            assert _verdict_on_each_path(g, cover)
-
-
-def test_block_cover_check_cutoff_boundary(monkeypatch):
-    """With open first endpoints heading exactly ``_BLOCK_SHARE`` of the
-    rows the check reads blocks; one row more and it gathers every
-    endpoint.  Either way the verdict is the oracle's."""
-    from repro.cover import verify
-
-    # Eight rows: vertex 0 heads two (a quarter), vertex 1 one more.
-    g = Graph(12, [(0, 2), (0, 3), (1, 4), (5, 6), (5, 7), (5, 8), (9, 10),
-                   (9, 11)])
-    gathers = []
-    gather = verify._edge_hits
-    monkeypatch.setattr(verify, "_BLOCK_SHARE", 0.25)
-    monkeypatch.setattr(verify, "_edge_hits",
-                        lambda *args: gathers.append(1) or gather(*args))
-    for left_out, covered, gathered in (
-            ([0], True, False), ([0, 2], False, False),
-            ([0, 1], True, True), ([0, 1, 4], False, True)):
-        cover = np.setdiff1d(np.arange(12), left_out)
-        assert _verdict_on_each_path(g, cover) is covered
-        gathers.clear()
-        assert verify.is_vertex_cover(g, cover) is covered
-        assert bool(gathers) is gathered, left_out
 
 
 @SETTINGS
