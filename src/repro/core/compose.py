@@ -64,12 +64,19 @@ def compose_matching(
     template: Graph | None = None,
     rng: RandomState = None,
 ) -> np.ndarray:
-    """Final matching from the union of matching coresets."""
+    """Final matching from the union of matching coresets.
+
+    The ``greedy`` combiner scans the union in canonical edge order when
+    ``rng`` is None, so protocols stay bit-reproducible per seed (as
+    :func:`~repro.cover.two_approx.matching_based_cover` does), and in a
+    random order drawn from ``rng`` otherwise.
+    """
     h = union_of_coresets(n_vertices, coresets, template)
     if combiner == "exact":
         return maximum_matching(h, algorithm=algorithm)
     if combiner == "greedy":
-        return greedy_maximal_matching(h, order="random", rng=rng)
+        order = "input" if rng is None else "random"
+        return greedy_maximal_matching(h, order=order, rng=rng)
     raise ValueError(f"unknown matching combiner {combiner!r}")
 
 

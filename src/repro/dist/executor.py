@@ -81,7 +81,10 @@ import pickle
 import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import TYPE_CHECKING, Any, Callable, Iterable, List, Optional, Union
+from contextlib import contextmanager
+from typing import (
+    TYPE_CHECKING, Any, Callable, Iterable, Iterator, List, Optional, Union,
+)
 
 if TYPE_CHECKING:  # pragma: no cover - the segment machinery loads lazily
     from repro.dist.shm import ResidentPin
@@ -99,6 +102,7 @@ __all__ = [
     "WorkerPoolBrokenError",
     "available_backends",
     "resolve_executor",
+    "serial_inner_engines",
     "validate_workers",
 ]
 
@@ -106,6 +110,34 @@ __all__ = [
 EXECUTOR_ENV = "REPRO_EXECUTOR"
 #: Environment variable selecting the default worker count (cpu count if unset).
 WORKERS_ENV = "REPRO_WORKERS"
+
+
+@contextmanager
+def serial_inner_engines(outer: str) -> Iterator[None]:
+    """Pin ``$REPRO_EXECUTOR`` to ``serial`` for the block when the backend
+    named ``outer``, which handed the block's work out, is not ``serial``.
+
+    Every other backend runs its tasks in worker processes, where a trial
+    or a sweep cell would otherwise re-resolve ``$REPRO_EXECUTOR`` inside
+    its engines and nest a second process pool per task.  One level of
+    process parallelism is the useful grain, so the outer level wins and
+    the engines inside run serially (outputs are bit-identical either way
+    — docs/PARALLELISM.md §4).  The previous value is restored on exit,
+    which also keeps the single-task inline path of
+    :meth:`ProcessExecutor.map` from leaking the pin into the caller.
+    """
+    if outer == "serial":
+        yield
+        return
+    previous = os.environ.get(EXECUTOR_ENV)
+    os.environ[EXECUTOR_ENV] = "serial"
+    try:
+        yield
+    finally:
+        if previous is None:
+            os.environ.pop(EXECUTOR_ENV, None)
+        else:
+            os.environ[EXECUTOR_ENV] = previous
 
 
 class ExecutorError(RuntimeError):

@@ -2,8 +2,8 @@
 E1–E23 registry that regenerates every quantitative claim of the paper.
 
 The public surface is the registry (``get_experiment("e1").run(...)``);
-importing ``tables`` registers every spec, and ``trials`` holds the
-picklable per-trial dataclasses.  See ``docs/EXPERIMENTS_API.md``.
+each experiment is one registered :class:`Trial` class in ``trials``,
+which registers on first lookup.  See ``docs/EXPERIMENTS_API.md``.
 """
 
 from repro.experiments.harness import ExperimentTable, run_trials
@@ -15,7 +15,6 @@ from repro.experiments.registry import (
     experiment_ids,
     get_experiment,
 )
-from repro.experiments import tables
 
 __all__ = [
     "ExperimentSpec",
@@ -26,5 +25,4 @@ __all__ = [
     "experiment_ids",
     "get_experiment",
     "run_trials",
-    "tables",
 ]

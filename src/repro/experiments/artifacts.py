@@ -49,8 +49,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional
 
-from repro.experiments.harness import ExperimentTable, _jsonable
-from repro.utils.jsonable import jsonable_deep
+from repro.experiments.harness import ExperimentTable
+from repro.utils.jsonable import jsonable
 from repro.utils.provenance import provenance_stamp
 
 __all__ = [
@@ -91,10 +91,10 @@ def run_artifact_doc(
         "experiment": str(experiment),
         "title": table.name,
         "seed": _seed_repr(seed),
-        "params": {k: _jsonable_deep(v) for k, v in params.items()},
+        "params": jsonable(dict(params)),
         **provenance_stamp(),
         "table": table.to_dict(),
-        "per_trial": _jsonable_deep(getattr(table, "trial_metrics", []) or []),
+        "per_trial": jsonable(table.trial_metrics),
     }
 
 
@@ -124,7 +124,7 @@ def save_run_artifact(
     while path.exists():
         path = directory / f"{base}-{counter}.json"
         counter += 1
-    path.write_text(json.dumps(doc, indent=2) + "\n")
+    path.write_text(json.dumps(doc, indent=2, allow_nan=False) + "\n")
     return path
 
 
@@ -224,7 +224,7 @@ def _seed_repr(seed: Any) -> Any:
     """A JSON-safe record of the seed (ints stay ints, exotica stringify)."""
     if seed is None:
         return None
-    coerced = _jsonable(seed)
+    coerced = jsonable(seed)
     if isinstance(coerced, (int, float)) and not isinstance(coerced, bool):
         return coerced
     return str(coerced)
@@ -232,8 +232,3 @@ def _seed_repr(seed: Any) -> Any:
 
 def _is_number(value: Any) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-# The recursive coercion (grid tuples, metric dicts) is the shared utils
-# helper; the local alias keeps this module's call sites readable.
-_jsonable_deep = jsonable_deep

@@ -1,6 +1,6 @@
 """Trial running and table formatting for the experiment suite.
 
-Every experiment in :mod:`repro.experiments.tables` produces an
+Every registered experiment (:mod:`repro.experiments.trials`) produces an
 :class:`ExperimentTable` — a named list of dict rows with aligned text
 rendering and a JSON form — so benchmark output looks like the rows a paper
 would print, EXPERIMENTS.md can be regenerated mechanically, and
@@ -10,23 +10,21 @@ would print, EXPERIMENTS.md can be regenerated mechanically, and
 from __future__ import annotations
 
 import json
-import os
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict
 
 import numpy as np
 
 from repro.dist.executor import (
-    EXECUTOR_ENV,
     Executor,
     ExecutorSpec,
     resolve_executor,
+    serial_inner_engines,
 )
 from repro.utils.jsonable import jsonable
 from repro.utils.rng import RandomState, spawn_seeds
 
-__all__ = ["ExperimentTable", "collect_trial_metrics", "run_trials"]
+__all__ = ["ExperimentTable", "run_trials"]
 
 
 @dataclass
@@ -34,12 +32,11 @@ class ExperimentTable:
     """A named table of result rows.
 
     ``trial_metrics`` optionally carries the *per-trial* metric lists the
-    aggregated rows were computed from — one entry per :func:`run_trials`
-    invocation, in build order (for the standard one-``run_trials``-per-row
-    experiments this aligns 1:1 with ``rows``).  It is populated by
-    :meth:`repro.experiments.registry.ExperimentSpec.run` via
-    :func:`collect_trial_metrics` and serialized into run artifacts so
-    variance across trials stays plottable after the run.
+    aggregated rows were computed from — one entry per grid cell, in row
+    order (a cell fills one row, except E8's and E16's, which fill
+    several).  :meth:`repro.experiments.registry.ExperimentSpec.run` fills
+    it, and run artifacts serialize it so variance across trials stays
+    plottable after the run.
     """
 
     name: str
@@ -87,77 +84,29 @@ class ExperimentTable:
             "description": self.description,
             "columns": list(self.columns),
             "rows": [
-                {c: _jsonable(r[c]) for c in self.columns} for r in self.rows
+                {c: jsonable(r[c]) for c in self.columns} for r in self.rows
             ],
         }
 
     def to_json(self, indent: int | None = 2) -> str:
-        """The table as a JSON document (see :meth:`to_dict`)."""
-        return json.dumps(self.to_dict(), indent=indent)
+        """The table as a strict JSON document (see :meth:`to_dict`)."""
+        return json.dumps(self.to_dict(), indent=indent, allow_nan=False)
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.format()
 
 
-# The old private name, kept because artifacts.py (and tests) import it
-# from here; the implementation is the shared utils helper.
-_jsonable = jsonable
-
-
 @dataclass(frozen=True)
-class _SerialEnginesTrial:
-    """Run a trial with the *inner* engines pinned to the serial backend.
-
-    When :func:`run_trials` fans trials out across worker processes (every
-    backend but ``serial``: a process pool or a remote fleet), each worker
-    would otherwise re-resolve ``$REPRO_EXECUTOR`` inside
-    ``run_simultaneous`` and nest a second process pool per trial.  One level of process parallelism is the useful grain,
-    so the trial level wins and the engines inside the trial run serially
-    (outputs are bit-identical either way — docs/PARALLELISM.md).  The
-    previous environment is restored afterwards, which also keeps the
-    single-task inline path of ``ProcessExecutor.map`` from leaking the
-    override into the caller's process.
-    """
+class _OnWorker:
+    """A trial whose inner engines run serially when ``outer`` fans trials
+    out of process (:func:`~repro.dist.executor.serial_inner_engines`)."""
 
     trial: Callable[[Any], Dict[str, float]]
+    outer: str
 
     def __call__(self, seed: Any) -> Dict[str, float]:
-        previous = os.environ.get(EXECUTOR_ENV)
-        os.environ[EXECUTOR_ENV] = "serial"
-        try:
+        with serial_inner_engines(self.outer):
             return self.trial(seed)
-        finally:
-            if previous is None:
-                os.environ.pop(EXECUTOR_ENV, None)
-            else:
-                os.environ[EXECUTOR_ENV] = previous
-
-
-# Active per-trial metric sink (see collect_trial_metrics).  Deliberately a
-# plain module global: experiment builds are single-threaded orchestration
-# (the parallelism lives *inside* run_trials), so no thread-local is needed.
-_trial_sink: Optional[List[Dict[str, List[float]]]] = None
-
-
-@contextmanager
-def collect_trial_metrics() -> Iterator[List[Dict[str, List[float]]]]:
-    """Capture the raw per-trial metrics of every :func:`run_trials` call
-    made inside the ``with`` block.
-
-    Yields a list that accumulates one ``{metric: [v_trial0, v_trial1,
-    ...]}`` dict per ``run_trials`` invocation, in call order.  Nesting is
-    supported (the inner sink shadows the outer one); the previous sink is
-    restored on exit.  This is how ``ExperimentSpec.run`` surfaces
-    per-trial (not just aggregated) numbers in run artifacts without every
-    table builder having to thread a collector through.
-    """
-    global _trial_sink
-    previous = _trial_sink
-    _trial_sink = sink = []
-    try:
-        yield sink
-    finally:
-        _trial_sink = previous
 
 
 def run_trials(
@@ -192,10 +141,9 @@ def run_trials(
     if n_trials < 1:
         raise ValueError(f"need at least one trial, got {n_trials}")
     backend = resolve_executor(executor)
-    task = _SerialEnginesTrial(fn) if backend.name != "serial" else fn
     seeds = spawn_seeds(seed, n_trials)
     try:
-        outputs = backend.map(task, seeds)
+        outputs = backend.map(_OnWorker(fn, backend.name), seeds)
     finally:
         # An executor resolved here (by name or from $REPRO_EXECUTOR) is
         # owned by this call and its pool is released at the barrier; a
@@ -207,9 +155,5 @@ def run_trials(
     for out in outputs[1:]:
         if out.keys() != keys:
             raise ValueError("trials returned inconsistent metric sets")
-    if _trial_sink is not None:
-        _trial_sink.append(
-            {k: [float(out[k]) for out in outputs] for k in keys}
-        )
     return {k: np.asarray([out[k] for out in outputs], dtype=np.float64)
             for k in keys}

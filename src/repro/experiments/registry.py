@@ -1,18 +1,22 @@
 """The declarative experiment API: specs, trials, and the registry.
 
-Every reproduced claim (E1–E23) is described by an :class:`ExperimentSpec`
-— id, title, one-line description, table columns, default parameter grid,
-and seed — registered once via the :func:`experiment` decorator in
-:mod:`repro.experiments.tables`.  The imperative half of an experiment is a
-:class:`Trial`: a frozen, *picklable*, module-level dataclass whose fields
-are the parameters of one grid cell and whose ``__call__(seed)`` returns
-one dict of scalar metrics.  Because trials are data, not closures, the
-trial harness (:func:`repro.experiments.harness.run_trials`) can fan them
-out across worker *processes*, and the CLI can override any grid parameter
-from the command line (``repro experiment e1 --set n_values=2000,4000``).
+Every reproduced claim (E1–E23) is one :class:`Trial` subclass in
+:mod:`repro.experiments.trials`, registered by the :func:`experiment`
+decorator with its id, title, one-line description, table columns,
+default parameter grid, and seed.  A trial is a frozen, *picklable*,
+module-level dataclass: its fields are the parameters of one grid cell and
+``__call__(seed)`` returns one dict of scalar metrics.  Beside that the
+class says how its table is laid out — ``cells(**grid)`` lists the
+table's trials in row order, ``row(metrics)`` turns one cell's stacked
+metrics into its row(s), and ``describe(**params)`` words the table
+description where it depends on the parameters.  :meth:`ExperimentSpec.run`
+owns the one loop over the cells.  Because trials are data, not closures,
+the trial harness (:func:`repro.experiments.harness.run_trials`) can fan
+them out across worker *processes*, and the CLI can override any grid
+parameter from the command line
+(``repro experiment e1 --set n_values=2000,4000``).
 
-Consumers resolve experiments through this module; the builders in
-``tables`` are never called directly::
+Consumers resolve experiments through this module::
 
     from repro.experiments.registry import get_experiment
 
@@ -31,9 +35,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Mapping, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, List, Mapping, Tuple, Type, Union,
+)
 
-from repro.experiments.harness import ExperimentTable
+import numpy as np
+
+from repro.experiments.harness import ExperimentTable, run_trials
 from repro.utils.rng import RandomState
 
 __all__ = [
@@ -47,6 +55,11 @@ __all__ = [
     "experiment_ids",
     "get_experiment",
 ]
+
+#: One cell's metrics stacked over its trials: name -> one value per trial.
+Metrics = Mapping[str, np.ndarray]
+#: One table row: column name -> value.
+Row = Dict[str, Any]
 
 
 class UnknownExperimentError(LookupError):
@@ -67,9 +80,13 @@ class Trial:
     Subclasses are frozen dataclasses defined at module level (in
     :mod:`repro.experiments.trials`): the fields hold every parameter the
     trial body needs, and ``__call__(seed)`` runs one independent trial and
-    returns a flat ``dict[str, float]`` of metrics.  That shape is the
-    whole contract — it is what makes a trial picklable, and therefore
-    shippable to a worker process by the ``processes`` executor backend.
+    returns a flat ``dict[str, float]`` of metrics.  That shape is what
+    makes a trial picklable, and therefore shippable to a worker process
+    by the ``processes`` executor backend.
+
+    A registered trial also lays out its table: :meth:`cells` builds the
+    table's trials from the grid, :meth:`row` turns one cell's metrics
+    into rows, and :meth:`describe` words the table description.
     """
 
     def __call__(self, seed: RandomState) -> Dict[str, float]:
@@ -79,15 +96,33 @@ class Trial:
         """The trial's parameters as a plain dict (dataclass fields)."""
         return dataclasses.asdict(self)
 
+    @classmethod
+    def cells(cls, **grid: Any) -> Iterable["Trial"]:
+        """The table's trials, in row order, from the grid minus
+        ``n_trials``."""
+        raise NotImplementedError
+
+    def row(self, m: Metrics) -> Union[Row, List[Row]]:
+        """This cell's table row from its metrics stacked over the trials
+        (``m[name]`` holds one value per trial); a list for a cell that
+        fills several rows."""
+        raise NotImplementedError
+
+    @classmethod
+    def describe(cls, **params: Any) -> str | None:
+        """The table description for ``params``; ``None`` keeps the
+        registered one."""
+        return None
+
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One registered experiment: metadata, defaults, and the builder.
+    """One registered experiment: metadata, defaults, and its trial class.
 
     ``grid`` maps parameter names to their default values; any key can be
-    overridden per run.  ``build`` is the module-level builder function
-    that instantiates :class:`Trial` objects over the grid, runs them, and
-    aggregates the metrics into table rows.
+    overridden per run.  ``trial`` is the registered :class:`Trial`
+    subclass.  ``fan_out=False`` marks an experiment that times the
+    backends itself, so its trials always run serially.
     """
 
     id: str
@@ -96,7 +131,8 @@ class ExperimentSpec:
     columns: Tuple[str, ...]
     grid: Mapping[str, Any]
     seed: int
-    build: Callable[..., ExperimentTable]
+    trial: Type[Trial]
+    fan_out: bool = True
 
     # ------------------------------------------------------------------ #
     def resolve_params(self, overrides: Mapping[str, Any]) -> Dict[str, Any]:
@@ -122,14 +158,6 @@ class ExperimentSpec:
             self.resolve_params({key: text})
         return _coerce(self.grid[key], text)
 
-    def new_table(self, description: str | None = None) -> ExperimentTable:
-        """An empty :class:`ExperimentTable` carrying this spec's identity."""
-        return ExperimentTable(
-            name=self.title,
-            description=self.description if description is None else description,
-            columns=list(self.columns),
-        )
-
     def run(
         self,
         *,
@@ -140,45 +168,50 @@ class ExperimentSpec:
     ) -> ExperimentTable:
         """Build the experiment table: defaults + ``overrides``.
 
-        ``seed`` defaults to the spec's registered seed; ``executor``
-        follows the :data:`repro.dist.executor.ExecutorSpec` convention
-        (``None`` resolves from ``$REPRO_EXECUTOR``) and selects the
-        backend that fans the *trials* out.
+        Every cell of the grid runs its ``n_trials`` through
+        :func:`~repro.experiments.harness.run_trials` from the same
+        ``seed``, which defaults to the spec's registered seed.
+        ``executor`` follows the :data:`repro.dist.executor.ExecutorSpec`
+        convention (``None`` resolves from ``$REPRO_EXECUTOR``) and selects
+        the backend that fans the *trials* out.  The raw per-trial metrics
+        of each cell land in ``table.trial_metrics``, one entry per cell.
 
         ``archive_dir`` (a directory path, or ``True`` for the default
         ``benchmarks/results/``) persists the run as a schema-versioned
-        JSON artifact — id, resolved params, seed, and rows — via
-        :mod:`repro.experiments.artifacts`, so ``repro report --diff``
-        can compare runs across commits.  The created path is attached to
-        the returned table as ``table.artifact_path``.
+        JSON artifact — id, resolved params, seed, rows, and per-trial
+        metrics — via :mod:`repro.experiments.artifacts`, so
+        ``repro report --diff`` can compare runs across commits.  The
+        created path is attached to the returned table as
+        ``table.artifact_path``.
         """
-        from repro.dist.executor import Executor, resolve_executor
-        from repro.experiments.harness import collect_trial_metrics
+        from repro.dist.executor import resolve_executor
 
         params = self.resolve_params(overrides)
         effective_seed = self.seed if seed is None else seed
-        # Resolve the executor once for the whole table: multi-cell grids
-        # then amortize a single worker pool across every run_trials call
-        # (docs/PARALLELISM.md §6) instead of paying pool start-up per
-        # cell.  Ownership follows the substrate rule — a spec resolved
-        # here (by name or from $REPRO_EXECUTOR) is closed here; a
-        # caller-passed Executor instance stays open.
-        backend = resolve_executor(executor)
+        table = ExperimentTable(
+            name=self.title,
+            description=self.trial.describe(**params) or self.description,
+            columns=list(self.columns),
+        )
+        grid = {k: v for k, v in params.items() if k != "n_trials"}
+        # Resolve the executor once for the whole table, so one worker
+        # pool serves every cell (docs/PARALLELISM.md §6).  Ownership
+        # follows the substrate rule: a spec resolved here (by name or
+        # from $REPRO_EXECUTOR) is closed here; a caller-passed Executor
+        # instance stays open.
+        backend = resolve_executor(executor if self.fan_out else "serial")
         try:
-            with collect_trial_metrics() as trial_log:
-                table = self.build(
-                    self,
-                    seed=effective_seed,
-                    executor=backend,
-                    **params,
-                )
+            for cell in self.trial.cells(**grid):
+                m = run_trials(cell, params["n_trials"], effective_seed,
+                               executor=backend)
+                table.trial_metrics.append(
+                    {k: v.tolist() for k, v in m.items()})
+                rows = cell.row(m)
+                for row in [rows] if isinstance(rows, dict) else rows:
+                    table.add_row(**row)
         finally:
-            if not isinstance(executor, Executor):
+            if backend is not executor:
                 backend.close()
-        # The raw per-trial numbers behind the aggregated rows: one entry
-        # per run_trials call, in build order.  Run artifacts serialize
-        # them so variance plots don't require re-running the sweep.
-        table.trial_metrics = trial_log
         if archive_dir:
             from repro.experiments.artifacts import save_run_artifact
 
@@ -203,41 +236,40 @@ def experiment(
     columns: list[str] | tuple[str, ...],
     grid: Mapping[str, Any],
     seed: int,
-) -> Callable[[Callable[..., ExperimentTable]], Callable[..., ExperimentTable]]:
-    """Register a builder function as experiment ``exp_id``.
+    fan_out: bool = True,
+) -> Callable[[Type[Trial]], Type[Trial]]:
+    """Register a :class:`Trial` subclass as experiment ``exp_id``.
 
-    The decorated builder receives ``(spec, *, seed, executor, **params)``
-    and returns an :class:`ExperimentTable`.  The decorator registers the
-    spec and returns the builder unchanged; ``get_experiment(exp_id).run``
-    is the one way to run it.
+    The decorator registers the spec and returns the class unchanged;
+    ``get_experiment(exp_id).run`` is the one way to run it.
     """
     key = exp_id.strip().lower()
 
-    def decorate(build: Callable[..., ExperimentTable]):
+    def decorate(trial: Type[Trial]) -> Type[Trial]:
         if key in _REGISTRY:
             raise DuplicateExperimentError(
                 f"experiment id {key!r} is already registered "
-                f"(by {_REGISTRY[key].build.__name__})"
+                f"(by {_REGISTRY[key].trial.__name__})"
             )
-        spec = ExperimentSpec(
+        _REGISTRY[key] = ExperimentSpec(
             id=key,
             title=title,
             description=description,
             columns=tuple(columns),
             grid=dict(grid),
             seed=seed,
-            build=build,
+            trial=trial,
+            fan_out=fan_out,
         )
-        _REGISTRY[key] = spec
-        return build
+        return trial
 
     return decorate
 
 
 def _ensure_registered() -> None:
-    # Specs live in tables.py and register on import; make lookups work
+    # Specs live in trials.py and register on import; make lookups work
     # even when the caller imported only this module.
-    import repro.experiments.tables  # noqa: F401
+    import repro.experiments.trials  # noqa: F401
 
 
 def get_experiment(exp_id: str) -> ExperimentSpec:

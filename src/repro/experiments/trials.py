@@ -1,19 +1,27 @@
-"""E1–E23 trial bodies as module-level, picklable dataclasses.
+"""E1–E23: one registered :class:`~repro.experiments.registry.Trial` per
+reproduced claim.
 
-Each class here is one grid cell of one experiment: parameters live in
-frozen dataclass fields, and ``__call__(seed)`` runs a single independent
-trial and returns a flat ``dict[str, float]`` of metrics (the
-:class:`~repro.experiments.registry.Trial` contract).  Being plain data,
-every trial pickles — which is what lets
-:func:`~repro.experiments.harness.run_trials` fan trials out across worker
-*processes*, the parallelism grain ROADMAP flagged as the biggest win for
-the benchmark suite.
+The paper is theoretical; each "table" here is the empirical rendering of
+one theorem/remark/example, as indexed in DESIGN.md §4.  Each class is one
+experiment, registered by the :func:`~repro.experiments.registry.experiment`
+decorator with its id, title, description, columns, default grid and seed:
 
-The spec definitions that sweep these trials over their grids and
-aggregate the metrics into table rows live in
-:mod:`repro.experiments.tables`; heavyweight library imports stay inside
-``__call__`` so importing this module (or unpickling a trial in a worker)
-stays cheap.
+* its frozen dataclass fields are one grid cell's parameters, and
+  ``__call__(seed)`` runs a single independent trial and returns a flat
+  ``dict[str, float]`` of metrics — plain data, so every trial pickles and
+  :func:`~repro.experiments.harness.run_trials` can fan trials out across
+  worker *processes*;
+* ``cells(**grid)`` lists the table's trials in row order, ``row(m)``
+  turns one cell's metrics (stacked over the trials) into its row, and
+  ``describe(**params)`` words the table description where it depends on
+  the parameters.
+
+:meth:`~repro.experiments.registry.ExperimentSpec.run` owns the loop over
+the cells.  Every table is deterministic given its ``seed``, on any
+executor backend.  Run an experiment through the registry
+(``get_experiment("e1").run(...)``); see ``docs/EXPERIMENTS_API.md``.
+Heavyweight library imports stay inside the methods, so importing this
+module (or unpickling a trial in a worker) stays cheap.
 
 Trials whose body is "run one registered algorithm, measure it" (E1, E3,
 E8, E9, E10) resolve that algorithm from the :mod:`repro.solve` registry
@@ -29,11 +37,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.experiments.registry import Trial
+from repro.experiments.registry import Metrics, Row, Trial, experiment
 from repro.utils.rng import RandomState, spawn_generators
 
 __all__ = [
@@ -47,9 +55,22 @@ __all__ = [
 # --------------------------------------------------------------------- #
 # E1 — Theorem 1: max-matching coreset is O(1)-approximate
 # --------------------------------------------------------------------- #
+@experiment(
+    "e1",
+    title="E1: matching coreset approximation (Theorem 1)",
+    description="ratio = MM(G) / |composed matching|; theory bound 9",
+    columns=["graph", "n", "k", "ratio_mean", "ratio_max",
+             "coreset_edges_mean"],
+    grid=dict(n_values=(2000, 6000), k_values=(4, 16, 64), n_trials=3,
+              general_graphs=False),
+    seed=11,
+)
 @dataclass(frozen=True)
 class E1Trial(Trial):
-    """Ratio of MM(G) to the composed Theorem 1 coreset matching."""
+    """Ratio of MM(G) to the composed Theorem 1 coreset matching, vs n and k.
+
+    Expected shape: ratio ≤ ~3 (theory: ≤ 9), flat in both n and k.
+    """
 
     n: int
     k: int
@@ -75,13 +96,43 @@ class E1Trial(Trial):
             "coreset_edges": res.stats["total_edges"] / self.k,
         }
 
+    @classmethod
+    def cells(cls, *, n_values, k_values, general_graphs):
+        return [cls(n=n, k=k, general_graphs=general_graphs)
+                for n in n_values for k in k_values]
+
+    def row(self, m: Metrics) -> Row:
+        return dict(
+            graph="gnp" if self.general_graphs else "bip+planted",
+            n=self.n,
+            k=self.k,
+            ratio_mean=float(m["ratio"].mean()),
+            ratio_max=float(m["ratio"].max()),
+            coreset_edges_mean=float(m["coreset_edges"].mean()),
+        )
+
 
 # --------------------------------------------------------------------- #
 # E2 — §1.2: maximal-matching coreset is Ω(k)
 # --------------------------------------------------------------------- #
+@experiment(
+    "e2",
+    title="E2: maximal-matching coreset failure (paper §1.2)",
+    description="same random partition; only the summarizer differs; "
+                "opt >= N = k*width hidden edges",
+    columns=["k", "opt_lb", "maximal_ratio", "maximum_ratio"],
+    grid=dict(k_values=(4, 8, 16, 32), width=64, n_trials=3),
+    seed=22,
+)
 @dataclass(frozen=True)
 class E2Trial(Trial):
-    """Maximal vs maximum matching as coresets on the §1.2 hub instance."""
+    """Worst-case *maximal* vs *maximum* matching as coresets on the
+    hidden-matching-with-hubs instance (§1.2's Ω(k) example).
+
+    Expected shape: maximal-coreset ratio grows ~linearly with k (≈ k/2 at
+    hub slack 2); the Theorem 1 coreset stays O(1) on the same inputs and
+    the same random partitions.
+    """
 
     k: int
     width: int
@@ -108,13 +159,38 @@ class E2Trial(Trial):
             "good_ratio": n_pairs / max(1, good_out.shape[0]),
         }
 
+    @classmethod
+    def cells(cls, *, k_values, width):
+        return [cls(k=k, width=width) for k in k_values]
+
+    def row(self, m: Metrics) -> Row:
+        return dict(
+            k=self.k,
+            opt_lb=float(m["opt"].mean()),
+            maximal_ratio=float(m["bad_ratio"].mean()),
+            maximum_ratio=float(m["good_ratio"].mean()),
+        )
+
 
 # --------------------------------------------------------------------- #
 # E3 — Theorem 2: VC coreset is O(log n)-approximate
 # --------------------------------------------------------------------- #
+@experiment(
+    "e3",
+    title="E3: vertex-cover coreset approximation (Theorem 2)",
+    description="ratio = |composed cover| / VC(G); theory bound O(log n)",
+    columns=["n", "k", "ratio_mean", "ratio_max", "log2_n",
+             "residual_edges_mean", "fixed_vertices_mean", "feasible"],
+    grid=dict(n_values=(2000, 8000), k_values=(4, 16), n_trials=3),
+    seed=33,
+)
 @dataclass(frozen=True)
 class E3Trial(Trial):
-    """Theorem 2 coreset ratio/size on a skewed-degree bipartite workload."""
+    """Theorem 2 coreset ratio and message size on a skewed-degree
+    bipartite workload.
+
+    Expected shape: ratio well below log2(n); residual size O(n log n).
+    """
 
     n: int
     k: int
@@ -143,13 +219,42 @@ class E3Trial(Trial):
             "feasible": float(res.verified),
         }
 
+    @classmethod
+    def cells(cls, *, n_values, k_values):
+        return [cls(n=n, k=k) for n in n_values for k in k_values]
+
+    def row(self, m: Metrics) -> Row:
+        return dict(
+            n=self.n,
+            k=self.k,
+            ratio_mean=float(m["ratio"].mean()),
+            ratio_max=float(m["ratio"].max()),
+            log2_n=math.log2(self.n),
+            residual_edges_mean=float(m["residual"].mean()),
+            fixed_vertices_mean=float(m["fixed"].mean()),
+            feasible=bool(m["feasible"].all()),
+        )
+
 
 # --------------------------------------------------------------------- #
 # E4 — §1.2: min-VC-as-coreset is Ω(k) (star example)
 # --------------------------------------------------------------------- #
+@experiment(
+    "e4",
+    title="E4: min-VC coreset failure (paper §1.2 star example)",
+    description="stars with ~k leaves each; OPT = n_stars (the centers)",
+    columns=["k", "opt", "minvc_ratio", "peeling_ratio", "both_feasible"],
+    grid=dict(k_values=(4, 8, 16, 32), n_stars=64, n_trials=3),
+    seed=44,
+)
 @dataclass(frozen=True)
 class E4Trial(Trial):
-    """Min-VC-of-the-piece vs the peeling coreset on star forests."""
+    """Min-VC-of-the-piece vs the Theorem 2 peeling coreset on star
+    forests.
+
+    Expected shape: min-VC coreset ratio grows ~linearly in k (leaves get
+    certified); the peeling coreset stays O(log n).
+    """
 
     k: int
     n_stars: int
@@ -179,18 +284,51 @@ class E4Trial(Trial):
             ),
         }
 
+    @classmethod
+    def cells(cls, *, k_values, n_stars):
+        return [cls(k=k, n_stars=n_stars) for k in k_values]
+
+    def row(self, m: Metrics) -> Row:
+        return dict(
+            k=self.k,
+            opt=self.n_stars,
+            minvc_ratio=float(m["bad_ratio"].mean()),
+            peeling_ratio=float(m["good_ratio"].mean()),
+            both_feasible=bool(m["feasible"].all()),
+        )
+
 
 # --------------------------------------------------------------------- #
 # E5 — Theorem 3: matching coresets need Ω(n/α²) edges
 # --------------------------------------------------------------------- #
+@experiment(
+    "e5",
+    title="E5: matching coreset size lower bound (Theorem 3)",
+    description="D_Matching budget sweep around the n/alpha^2 threshold",
+    columns=["budget", "budget_over_threshold", "ratio_mean",
+             "hidden_recovered_mean", "beats_alpha"],
+    grid=dict(n=8000, alpha=8.0, k=8,
+              budget_factors=(0.125, 0.5, 1.0, 4.0, 16.0), n_trials=3),
+    seed=55,
+)
 @dataclass(frozen=True)
 class E5Trial(Trial):
-    """Budget-limited coreset on one D_Matching instance."""
+    """Budget-limited coreset on one D_Matching instance, with the
+    per-machine budget a factor of the Theorem 3 threshold n/α².
+
+    Expected shape: achieved ratio crosses α as the per-machine budget
+    crosses ~n/α².
+    """
 
     n: int
     alpha: float
     k: int
-    budget: int
+    budget_factor: float
+
+    @property
+    def budget(self) -> int:
+        threshold = self.n / self.alpha**2
+        return max(1, int(round(self.budget_factor * threshold)))
 
     def __call__(self, seed: RandomState) -> Dict[str, float]:
         from repro.dist.coordinator import run_simultaneous
@@ -214,18 +352,58 @@ class E5Trial(Trial):
             "hidden": hidden_edges_recovered(inst, res.output),
         }
 
+    @classmethod
+    def cells(cls, *, n, alpha, k, budget_factors):
+        return [cls(n=n, alpha=alpha, k=k, budget_factor=f)
+                for f in budget_factors]
+
+    def row(self, m: Metrics) -> Row:
+        ratio = float(m["ratio"].mean())
+        return dict(
+            budget=self.budget,
+            budget_over_threshold=self.budget_factor,
+            ratio_mean=ratio,
+            hidden_recovered_mean=float(m["hidden"].mean()),
+            beats_alpha=bool(ratio < self.alpha),
+        )
+
+    @classmethod
+    def describe(cls, *, n, alpha, k, **_):
+        return (f"D_Matching(n={n}, alpha={alpha:g}, k={k}); "
+                f"threshold budget n/alpha^2 = {n / alpha**2:.0f}")
+
 
 # --------------------------------------------------------------------- #
 # E6 — Theorem 4: VC coresets need Ω(n/α) size
 # --------------------------------------------------------------------- #
+@experiment(
+    "e6",
+    title="E6: vertex-cover coreset size lower bound (Theorem 4)",
+    description="D_VC budget sweep around the n/alpha threshold",
+    columns=["budget", "budget_over_threshold", "p_estar_covered",
+             "p_feasible", "cover_size_mean"],
+    grid=dict(n=8000, alpha=8.0, k=8, budget_factors=(0.05, 0.25, 1.0, 4.0),
+              n_trials=5),
+    seed=66,
+)
 @dataclass(frozen=True)
 class E6Trial(Trial):
-    """Budget-limited cover coreset on one D_VC instance."""
+    """Budget-limited cover coreset on one D_VC instance, with the
+    per-machine budget a factor of the Theorem 4 threshold n/α.
+
+    Expected shape: P[e* covered] (hence feasibility) collapses once the
+    budget drops below ~n/α.
+    """
 
     n: int
     alpha: float
     k: int
-    budget: int
+    budget_factor: float
+
+    @property
+    def budget(self) -> int:
+        threshold = self.n / self.alpha
+        return max(1, int(round(self.budget_factor * threshold)))
 
     def __call__(self, seed: RandomState) -> Dict[str, float]:
         from repro.cover import is_vertex_cover
@@ -250,13 +428,45 @@ class E6Trial(Trial):
             "size": res.output.shape[0],
         }
 
+    @classmethod
+    def cells(cls, *, n, alpha, k, budget_factors):
+        return [cls(n=n, alpha=alpha, k=k, budget_factor=f)
+                for f in budget_factors]
+
+    def row(self, m: Metrics) -> Row:
+        return dict(
+            budget=self.budget,
+            budget_over_threshold=self.budget_factor,
+            p_estar_covered=float(m["covered"].mean()),
+            p_feasible=float(m["feasible"].mean()),
+            cover_size_mean=float(m["size"].mean()),
+        )
+
+    @classmethod
+    def describe(cls, *, n, alpha, k, **_):
+        return (f"D_VC(n={n}, alpha={alpha:g}, k={k}); "
+                f"threshold budget n/alpha = {n / alpha:.0f}")
+
 
 # --------------------------------------------------------------------- #
 # E7 — headline: random vs adversarial partitioning
 # --------------------------------------------------------------------- #
+@experiment(
+    "e7",
+    title="E7: random vs adversarial partitioning (headline contrast)",
+    description="decoy-gadget instance; predicted adversarial ratio (k+1)/2",
+    columns=["k", "opt_mean", "random_ratio", "adversarial_ratio",
+             "predicted_adversarial"],
+    grid=dict(k_values=(4, 8, 16), n_hidden_per_k=48, n_trials=3),
+    seed=77,
+)
 @dataclass(frozen=True)
 class E7Trial(Trial):
-    """Same graph, same coreset, random vs adversarial partitioning."""
+    """Same graph, same Theorem 1 coreset, random vs adversarial
+    partitioning.
+
+    Expected shape: random ratio O(1); adversarial ratio ≈ (k+1)/2.
+    """
 
     k: int
     n_hidden: int
@@ -271,13 +481,40 @@ class E7Trial(Trial):
             "adv": c.adversarial_ratio,
         }
 
+    @classmethod
+    def cells(cls, *, k_values, n_hidden_per_k):
+        return [cls(k=k, n_hidden=n_hidden_per_k * k) for k in k_values]
+
+    def row(self, m: Metrics) -> Row:
+        return dict(
+            k=self.k,
+            opt_mean=float(m["opt"].mean()),
+            random_ratio=float(m["rand"].mean()),
+            adversarial_ratio=float(m["adv"].mean()),
+            predicted_adversarial=(self.k + 1) / 2,
+        )
+
 
 # --------------------------------------------------------------------- #
 # E8 — MapReduce: rounds and memory vs the filtering baseline
 # --------------------------------------------------------------------- #
+@experiment(
+    "e8",
+    title="E8: MapReduce rounds (paper MR corollary vs filtering [46])",
+    description="coreset MapReduce vs filtering at memory budget n^1.5",
+    columns=["algorithm", "rounds_mean", "ratio_mean",
+             "peak_machine_edges", "memory_cap"],
+    grid=dict(n=4000, avg_degree=24.0, n_trials=3),
+    seed=88,
+)
 @dataclass(frozen=True)
 class E8Trial(Trial):
-    """Coreset MapReduce (2-round and pre-randomized) vs filtering [46]."""
+    """Coreset MapReduce (2-round and pre-randomized) vs the [46]
+    filtering algorithm at the paper's memory budget Õ(n^1.5).
+
+    Expected shape: coreset = 2 rounds (1 when pre-randomized), ratio ≤ ~3;
+    filtering ≥ 3 rounds with ratio ≤ 2.
+    """
 
     n: int
     avg_degree: float
@@ -314,13 +551,55 @@ class E8Trial(Trial):
             "f_peak": filt.stats["peak_central_edges"],
         }
 
+    @classmethod
+    def cells(cls, *, n, avg_degree):
+        return [cls(n=n, avg_degree=avg_degree, memory_cap_edges=int(n**1.5))]
+
+    def row(self, m: Metrics) -> List[Row]:
+        return [
+            dict(
+                algorithm=label,
+                rounds_mean=float(m[f"{prefix}_rounds"].mean()),
+                ratio_mean=float(m[f"{prefix}_ratio"].mean()),
+                peak_machine_edges=float(m[f"{prefix}_peak"].mean()),
+                memory_cap=self.memory_cap_edges,
+            )
+            for label, prefix in (("coreset-2round", "c"),
+                                  ("coreset-prerandomized", "c1"),
+                                  ("filtering[46]", "f"))
+        ]
+
+    @classmethod
+    def describe(cls, *, n, avg_degree, **_):
+        return (f"n={n}, m≈{int(n * avg_degree / 2)}, memory n^1.5≈"
+                f"{int(n**1.5)} edges")
+
 
 # --------------------------------------------------------------------- #
 # E9 — Remark 5.2: subsampled matching, Õ(nk/α²) communication
 # --------------------------------------------------------------------- #
+@experiment(
+    "e9",
+    title="E9: subsampled matching protocol (Remark 5.2)",
+    description="alpha sweep on D_Matching; claim: alpha-approx, "
+                "Õ(nk/alpha²) bits",
+    columns=["alpha", "ratio_mean", "total_bits_mean",
+             "bits_x_alpha2_over_nk", "within_3alpha"],
+    grid=dict(n=8000, k=8, alpha_values=(2.0, 4.0, 8.0, 16.0), n_trials=3),
+    seed=99,
+)
 @dataclass(frozen=True)
 class E9Trial(Trial):
-    """Subsampled matching protocol on one D_Matching instance."""
+    """Subsampled matching protocol on one D_Matching(n, α, k) instance —
+    the regime of Remark 5.2/Theorem 5, where each player's maximum
+    matching is Θ(n/α).
+
+    Expected shape: bits·α²/(nk) roughly constant across the α sweep (the
+    Õ hides log factors); ratio stays below ~3α.  On generic workloads
+    where per-player matchings are Θ(n) the subsampling only buys a 1/α
+    factor — the α² rate is specific to the hard regime, which is why this
+    table samples D_Matching rather than a planted Gnp graph.
+    """
 
     n: int
     k: int
@@ -341,13 +620,46 @@ class E9Trial(Trial):
             "bits": res.stats["total_bits"],
         }
 
+    @classmethod
+    def cells(cls, *, n, k, alpha_values):
+        return [cls(n=n, k=k, alpha=alpha) for alpha in alpha_values]
+
+    def row(self, m: Metrics) -> Row:
+        ratio = float(m["ratio"].mean())
+        bits = float(m["bits"].mean())
+        return dict(
+            alpha=self.alpha,
+            ratio_mean=ratio,
+            total_bits_mean=bits,
+            bits_x_alpha2_over_nk=bits * self.alpha**2 / (self.n * self.k),
+            within_3alpha=bool(ratio <= 3 * self.alpha),
+        )
+
+    @classmethod
+    def describe(cls, *, n, k, **_):
+        return (f"D_Matching(n={n}, alpha, k={k}); claim: alpha-approx, "
+                "Õ(nk/alpha²) bits")
+
 
 # --------------------------------------------------------------------- #
 # E10 — Remark 5.8: grouped VC, Õ(nk/α) communication
 # --------------------------------------------------------------------- #
+@experiment(
+    "e10",
+    title="E10: grouped vertex cover protocol (Remark 5.8)",
+    description="alpha sweep; claim: alpha-approx, Õ(nk/alpha) bits",
+    columns=["alpha", "ratio_mean", "feasible", "total_bits_mean",
+             "bits_x_alpha_over_nk"],
+    grid=dict(n=8000, k=8, alpha_values=(16.0, 32.0, 64.0), n_trials=3),
+    seed=1010,
+)
 @dataclass(frozen=True)
 class E10Trial(Trial):
-    """Grouped vertex-cover protocol on a dense skewed workload."""
+    """Grouped vertex-cover protocol on a dense skewed workload.
+
+    Expected shape: feasible everywhere; bits scale like 1/α; ratio grows
+    at most linearly in α.
+    """
 
     n: int
     k: int
@@ -376,13 +688,42 @@ class E10Trial(Trial):
             "bits": res.stats["total_bits"],
         }
 
+    @classmethod
+    def cells(cls, *, n, k, alpha_values):
+        return [cls(n=n, k=k, alpha=alpha) for alpha in alpha_values]
+
+    def row(self, m: Metrics) -> Row:
+        bits = float(m["bits"].mean())
+        return dict(
+            alpha=self.alpha,
+            ratio_mean=float(m["ratio"].mean()),
+            feasible=bool(m["feasible"].all()),
+            total_bits_mean=bits,
+            bits_x_alpha_over_nk=bits * self.alpha / (self.n * self.k),
+        )
+
+    @classmethod
+    def describe(cls, *, n, k, **_):
+        return f"n={n}, k={k}; claim: alpha-approx, Õ(nk/alpha) bits"
+
 
 # --------------------------------------------------------------------- #
 # E11 — Appendix A: induced matchings in G(n, n, 1/n)
 # --------------------------------------------------------------------- #
+@experiment(
+    "e11",
+    title="E11: induced matching in G(n,n,1/n) (Appendix A)",
+    description="density -> 1/e^2 ≈ 0.1353 exactly, >= 1/e^3 ≈ 0.0498 "
+                "(Lemma A.3 bound); degree-1 fraction -> 1/e ≈ 0.3679",
+    columns=["n", "induced_density_mean", "exact_theory", "lemma_a3_bound",
+             "deg1_fraction_mean", "theory_deg1"],
+    grid=dict(n_values=(1000, 4000, 16000), n_trials=5),
+    seed=1111,
+)
 @dataclass(frozen=True)
 class E11Trial(Trial):
-    """Induced-matching density and degree-1 fraction in G(n, n, 1/n)."""
+    """Induced-matching density in G(n, n, 1/n) vs the 1/e³ constant, and
+    the degree-1 fraction vs 1/e (Prop A.2 / Lemma A.3)."""
 
     n: int
 
@@ -399,13 +740,49 @@ class E11Trial(Trial):
             "deg1": float((deg_left == 1).mean()),
         }
 
+    @classmethod
+    def cells(cls, *, n_values):
+        return [cls(n=n) for n in n_values]
+
+    def row(self, m: Metrics) -> Row:
+        from repro.lowerbounds.induced import (
+            degree_one_left_fraction_theory,
+            induced_matching_density_exact,
+            induced_matching_density_theory,
+        )
+
+        return dict(
+            n=self.n,
+            induced_density_mean=float(m["density"].mean()),
+            exact_theory=induced_matching_density_exact(),
+            lemma_a3_bound=induced_matching_density_theory(),
+            deg1_fraction_mean=float(m["deg1"].mean()),
+            theory_deg1=degree_one_left_fraction_theory(),
+        )
+
 
 # --------------------------------------------------------------------- #
 # E12 — §1.1: Crouch–Stubbs weighted extension
 # --------------------------------------------------------------------- #
+@experiment(
+    "e12",
+    title="E12: weighted matching via Crouch–Stubbs classes (paper §1.1)",
+    description="weighted coreset vs centralized greedy 2-approximation",
+    columns=["epsilon", "protocol_weight", "central_greedy_weight",
+             "weight_ratio", "classes_bits_mean"],
+    grid=dict(n=2000, k=8, weight_spread=100.0, epsilon_values=(0.5, 1.0),
+              n_trials=3),
+    seed=1212,
+)
 @dataclass(frozen=True)
 class E12Trial(Trial):
-    """Weighted coreset protocol vs centralized greedy at one epsilon."""
+    """Weighted coreset protocol vs the centralized greedy
+    2-approximation (and, via it, the optimum) at one epsilon.
+
+    Expected shape: protocol weight within a small constant (≈ 4–6 total:
+    2 from greedy merge × O(1) from the unweighted coreset) of centralized
+    greedy, which itself is ≥ OPT/2.
+    """
 
     n: int
     k: int
@@ -437,13 +814,45 @@ class E12Trial(Trial):
             "bits": res.ledger.total_bits(),
         }
 
+    @classmethod
+    def cells(cls, *, n, k, weight_spread, epsilon_values):
+        return [cls(n=n, k=k, weight_spread=weight_spread, epsilon=epsilon)
+                for epsilon in epsilon_values]
+
+    def row(self, m: Metrics) -> Row:
+        return dict(
+            epsilon=self.epsilon,
+            protocol_weight=float(m["proto"].mean()),
+            central_greedy_weight=float(m["central"].mean()),
+            weight_ratio=float((m["central"] / m["proto"]).mean()),
+            classes_bits_mean=float(m["bits"].mean()),
+        )
+
+    @classmethod
+    def describe(cls, *, weight_spread, **_):
+        return f"weights log-uniform in [1, {weight_spread:g}]"
+
 
 # --------------------------------------------------------------------- #
 # E13 — Result 1→3: total communication Õ(nk)
 # --------------------------------------------------------------------- #
+@experiment(
+    "e13",
+    title="E13: communication scaling (Results 1 and 3)",
+    description="total bits of both coresets vs send-everything as k grows",
+    columns=["k", "matching_total_bits", "vc_total_bits",
+             "naive_total_bits", "matching_bits_per_nk",
+             "max_player_bits"],
+    grid=dict(n=4000, k_values=(2, 4, 8, 16, 32), n_trials=3),
+    seed=1313,
+)
 @dataclass(frozen=True)
 class E13Trial(Trial):
-    """Total bits of both coresets (and send-everything) at one k."""
+    """Total bits of both coresets (and send-everything) at one k, fixed n.
+
+    Expected shape: total bits ≈ linear in k (Õ(nk)), per-player bits Õ(n),
+    and far below the send-everything baseline.
+    """
 
     n: int
     k: int
@@ -482,13 +891,45 @@ class E13Trial(Trial):
             "m_max": rm.ledger.max_player_bits(),
         }
 
+    @classmethod
+    def cells(cls, *, n, k_values):
+        return [cls(n=n, k=k) for k in k_values]
+
+    def row(self, m: Metrics) -> Row:
+        return dict(
+            k=self.k,
+            matching_total_bits=float(m["m_bits"].mean()),
+            vc_total_bits=float(m["v_bits"].mean()),
+            naive_total_bits=float(m["n_bits"].mean()),
+            matching_bits_per_nk=float(m["m_bits"].mean()) / (self.n * self.k),
+            max_player_bits=float(m["m_max"].mean()),
+        )
+
+    @classmethod
+    def describe(cls, *, n, **_):
+        return f"n={n}; totals in bits; naive = send everything"
+
 
 # --------------------------------------------------------------------- #
 # E14 — Claim 3.3 / Lemma 3.2: GreedyMatch dynamics
 # --------------------------------------------------------------------- #
+@experiment(
+    "e14",
+    title="E14: GreedyMatch dynamics (Claim 3.3, Lemma 3.2)",
+    description="per-step prefix concentration and per-step gains",
+    columns=["k", "final_ratio", "prefix_deviation_max",
+             "first_third_gain_over_mm_per_k", "final_over_mm"],
+    grid=dict(n=4000, k=16, n_trials=3),
+    seed=1414,
+)
 @dataclass(frozen=True)
 class E14Trial(Trial):
-    """Instrumented GreedyMatch prefix concentration and per-step gains."""
+    """Instrumented GreedyMatch: per-step prefix concentration (Claim 3.3)
+    and per-step gains (Lemma 3.2).
+
+    Expected shape: |M*_{<i}| ≈ (i-1)/k · MM(G); early-step gains
+    ≈ Ω(MM/k) while |M| ≤ MM/9.
+    """
 
     n: int
     k: int
@@ -519,6 +960,24 @@ class E14Trial(Trial):
             "gain": float(gains.mean() / (mm / self.k)),
             "final_frac": trace.final_size / mm,
         }
+
+    @classmethod
+    def cells(cls, *, n, k):
+        return [cls(n=n, k=k)]
+
+    def row(self, m: Metrics) -> Row:
+        return dict(
+            k=self.k,
+            final_ratio=float(m["ratio"].mean()),
+            prefix_deviation_max=float(m["dev"].max()),
+            first_third_gain_over_mm_per_k=float(m["gain"].mean()),
+            final_over_mm=float(m["final_frac"].mean()),
+        )
+
+    @classmethod
+    def describe(cls, *, n, k, **_):
+        return (f"n={n}, k={k}; prefix_dev = "
+                "max_i |prefix_i - (i/k)·MM| / MM")
 
 
 # --------------------------------------------------------------------- #
@@ -559,9 +1018,22 @@ E15_VARIANTS = (
 )
 
 
+@experiment(
+    "e15",
+    title="E15: summarizer/combiner ablation",
+    description="one workload, all summarizer/combiner variants side by side",
+    columns=["variant", "ratio_mean", "total_bits_mean"],
+    grid=dict(n=4000, k=8, variants=E15_VARIANTS, n_trials=3),
+    seed=1515,
+)
 @dataclass(frozen=True)
 class E15Trial(Trial):
-    """One summarizer/combiner ablation variant on the planted workload."""
+    """One summarizer/combiner ablation variant on the planted workload.
+
+    Expected shape: maximum+exact ≈ maximum+greedy; maximal (random
+    order) is fine on these trap-free inputs; subsampled degrades
+    gracefully; send-everything is exact but orders of magnitude more bits.
+    """
 
     n: int
     k: int
@@ -586,13 +1058,43 @@ class E15Trial(Trial):
             "bits": res.total_bits,
         }
 
+    @classmethod
+    def cells(cls, *, n, k, variants):
+        return [cls(n=n, k=k, variant=variant) for variant in variants]
+
+    def row(self, m: Metrics) -> Row:
+        return dict(
+            variant=self.variant,
+            ratio_mean=float(m["ratio"].mean()),
+            total_bits_mean=float(m["bits"].mean()),
+        )
+
+    @classmethod
+    def describe(cls, *, n, k, **_):
+        return f"bipartite planted workload, n={n}, k={k}"
+
 
 # --------------------------------------------------------------------- #
 # E16 — §1.3 connection: random-arrival streaming
 # --------------------------------------------------------------------- #
+@experiment(
+    "e16",
+    title="E16: streaming arrival orders (paper §1.3 connection)",
+    description="one-pass matchers under random vs adversarial arrival",
+    columns=["order", "greedy_ratio", "two_phase_ratio",
+             "memory_words_over_n"],
+    grid=dict(n=8000, noise_degree=3.0, n_trials=3),
+    seed=1616,
+)
 @dataclass(frozen=True)
 class E16Trial(Trial):
-    """One-pass matchers under random and adversarial arrival orders."""
+    """The streaming shadow of random partitioning: one-pass greedy under
+    random vs adversarial arrival, plus the two-phase random-arrival
+    matcher.
+
+    Expected shape: greedy ≥ 0.5·OPT always (maximality); random order
+    beats adversarial order; two-phase beats greedy on random order.
+    """
 
     n: int
     noise_degree: float
@@ -628,13 +1130,46 @@ class E16Trial(Trial):
             out[f"{name}_mem"] = two.memory_words / graph.n_vertices
         return out
 
+    @classmethod
+    def cells(cls, *, n, noise_degree):
+        return [cls(n=n, noise_degree=noise_degree)]
+
+    def row(self, m: Metrics) -> List[Row]:
+        return [
+            dict(
+                order=name,
+                greedy_ratio=float(m[f"{name}_greedy"].mean()),
+                two_phase_ratio=float(m[f"{name}_two"].mean()),
+                memory_words_over_n=float(m[f"{name}_mem"].mean()),
+            )
+            for name in ("random", "adversarial")
+        ]
+
+    @classmethod
+    def describe(cls, *, n, **_):
+        return f"n={n}; one-pass semi-streaming, ratios vs MM(G)"
+
 
 # --------------------------------------------------------------------- #
 # E17 — footnote 3: exact kernel coresets for small optima
 # --------------------------------------------------------------------- #
+@experiment(
+    "e17",
+    title="E17: exact kernel coresets for small optima (footnote 3)",
+    description="exact composable kernels when MM(G) <= K, both partitionings",
+    columns=["opt_bound", "mm", "exact_random", "exact_adversarial",
+             "graph_edges", "kernel_edges_total"],
+    grid=dict(opt_values=(32, 128, 512), n=8000, k=8, n_trials=3),
+    seed=1717,
+)
 @dataclass(frozen=True)
 class E17Trial(Trial):
-    """Exact composable kernels at one optimum bound, both partitionings."""
+    """Exact composable kernels at one optimum bound K, under both
+    partitionings (footnote 3); K must be at least 16.
+
+    Expected shape: output exactly MM(G) under *both* random and
+    adversarial partitioning; kernel size grows ~O(K²), not with n.
+    """
 
     n: int
     k: int
@@ -672,6 +1207,25 @@ class E17Trial(Trial):
             "graph_edges": graph.n_edges,
             "kernel_edges": rand.ledger.total_edges(),
         }
+
+    @classmethod
+    def cells(cls, *, opt_values, n, k):
+        return [cls(n=n, k=k, opt_bound=opt_bound) for opt_bound in opt_values]
+
+    def row(self, m: Metrics) -> Row:
+        return dict(
+            opt_bound=self.opt_bound,
+            mm=float(m["mm"].mean()),
+            exact_random=bool(m["rand_exact"].all()),
+            exact_adversarial=bool(m["adv_exact"].all()),
+            graph_edges=float(m["graph_edges"].mean()),
+            kernel_edges_total=float(m["kernel_edges"].mean()),
+        )
+
+    @classmethod
+    def describe(cls, *, n, k, **_):
+        return (f"n={n}, k={k}; kernel = maximal matching core + "
+                "3K+2 extra edges per matched vertex")
 
 
 # --------------------------------------------------------------------- #
@@ -727,9 +1281,26 @@ E18_FAMILIES = {
 }
 
 
+@experiment(
+    "e18",
+    title="E18: coreset robustness across graph families",
+    description="Theorem 1 + Theorem 2 on five structurally distinct "
+                "families",
+    columns=["family", "matching_ratio_mean", "matching_ratio_max",
+             "vc_ratio_mean", "vc_feasible"],
+    grid=dict(n=4000, k=8, families=tuple(E18_FAMILIES), n_trials=3),
+    seed=1818,
+)
 @dataclass(frozen=True)
 class E18Trial(Trial):
-    """Both coresets on one structurally distinct graph family."""
+    """Both coresets on one structurally distinct graph family: Gnp,
+    planted matching, power-law, community-clustered, or star-heavy.
+
+    The theorems are worst-case over graphs (only the partitioning is
+    random), so the ratios should stay inside the bounds on *every*
+    family.  Expected shape: matching ratio ≤ ~3 and VC ratio ≤ O(log n)
+    across the board, with heavy-tailed families the hardest.
+    """
 
     n: int
     k: int
@@ -765,13 +1336,51 @@ class E18Trial(Trial):
             "v_feasible": float(is_vertex_cover(graph, rv.output)),
         }
 
+    @classmethod
+    def cells(cls, *, n, k, families):
+        return [cls(n=n, k=k, family=family) for family in families]
+
+    def row(self, m: Metrics) -> Row:
+        return dict(
+            family=self.family,
+            matching_ratio_mean=float(m["m_ratio"].mean()),
+            matching_ratio_max=float(m["m_ratio"].max()),
+            vc_ratio_mean=float(m["v_ratio"].mean()),
+            vc_feasible=bool(m["v_feasible"].all()),
+        )
+
+    @classmethod
+    def describe(cls, *, n, k, families, **_):
+        return (f"n≈{n}, k={k}; Theorem 1 + Theorem 2 on "
+                f"{len(families)} families")
+
 
 # --------------------------------------------------------------------- #
 # E19 — §1.3: edge-partition vs vertex-partition simultaneous models
 # --------------------------------------------------------------------- #
+@experiment(
+    "e19",
+    title="E19: edge-partition vs vertex-partition models (§1.3 / [10])",
+    description="same Theorem 1 summarizer in both simultaneous models",
+    columns=["k", "edge_model_ratio", "vertex_model_ratio",
+             "edge_model_bits", "vertex_model_bits",
+             "duplication_factor"],
+    grid=dict(n=4000, k_values=(4, 16), n_trials=3),
+    seed=1919,
+)
 @dataclass(frozen=True)
 class E19Trial(Trial):
-    """Theorem 1 coreset in the edge- and vertex-partition models."""
+    """Theorem 1 coreset in the edge- and vertex-partition models.
+
+    In the paper's edge-partition model each edge lives on one machine; in
+    the [10] vertex-partition model each machine sees all edges incident on
+    its vertices (cross edges are duplicated, duplication factor → 2−1/k).
+    Expected shape: quality comparable on benign inputs (the [10] hardness
+    needs Ruzsa–Szemerédi instances), but the vertex model pays the
+    duplication factor in communication — and each machine's piece is a
+    constant fraction of the graph, so the per-player Õ(n) budget is simply
+    bypassed rather than met.
+    """
 
     n: int
     k: int
@@ -804,16 +1413,54 @@ class E19Trial(Trial):
             "dup": vertex_part.duplication_factor(),
         }
 
+    @classmethod
+    def cells(cls, *, n, k_values):
+        return [cls(n=n, k=k) for k in k_values]
+
+    def row(self, m: Metrics) -> Row:
+        return dict(
+            k=self.k,
+            edge_model_ratio=float(m["e_ratio"].mean()),
+            vertex_model_ratio=float(m["v_ratio"].mean()),
+            edge_model_bits=float(m["e_bits"].mean()),
+            vertex_model_bits=float(m["v_bits"].mean()),
+            duplication_factor=float(m["dup"].mean()),
+        )
+
+    @classmethod
+    def describe(cls, *, n, **_):
+        return f"n={n}; same Theorem 1 summarizer in both models"
+
 
 # --------------------------------------------------------------------- #
 # E20 — the "w.h.p." itself: concentration of the coreset guarantee
 # --------------------------------------------------------------------- #
+@experiment(
+    "e20",
+    title="E20: concentration of the w.h.p. guarantees",
+    description="tail probability of the ratio across many partitionings",
+    columns=["n", "ratio_mean", "ratio_std", "ratio_max",
+             "tail_probability", "prefix_dev_max"],
+    grid=dict(n_values=(500, 2000, 8000), k=8, n_trials=20,
+              ratio_threshold=1.5),
+    seed=2020,
+)
 @dataclass(frozen=True)
 class E20Trial(Trial):
-    """One independent partitioning for the tail-probability estimate."""
+    """One independent partitioning for the tail-probability estimate.
+
+    Theorem 1 and Claim 3.3 are "with high probability" statements: the
+    failure probability must *vanish as n grows* (the proofs lose O(1/n)
+    per Chernoff application).  The table estimates P[ratio >
+    ``ratio_threshold``] across many independent partitionings.
+
+    Expected shape: the tail probability and the spread of the per-step
+    prefix deviation both shrink monotonically-ish in n.
+    """
 
     n: int
     k: int
+    ratio_threshold: float = 1.5
 
     def __call__(self, seed: RandomState) -> Dict[str, float]:
         from repro.core.greedy_match import greedy_match
@@ -841,10 +1488,43 @@ class E20Trial(Trial):
             "dev": dev,
         }
 
+    @classmethod
+    def cells(cls, *, n_values, k, ratio_threshold):
+        return [cls(n=n, k=k, ratio_threshold=ratio_threshold)
+                for n in n_values]
+
+    def row(self, m: Metrics) -> Row:
+        ratios = m["ratio"]
+        return dict(
+            n=self.n,
+            ratio_mean=float(ratios.mean()),
+            ratio_std=float(ratios.std(ddof=1)),
+            ratio_max=float(ratios.max()),
+            tail_probability=float((ratios > self.ratio_threshold).mean()),
+            prefix_dev_max=float(m["dev"].max()),
+        )
+
+    @classmethod
+    def describe(cls, *, k, n_trials, ratio_threshold, **_):
+        return (f"k={k}, {n_trials} independent partitionings per n; "
+                f"tail = P[ratio > {ratio_threshold:g}]")
+
 
 # --------------------------------------------------------------------- #
 # E21 — parallel scaling of the execution backends (E8 workload)
 # --------------------------------------------------------------------- #
+@experiment(
+    "e21",
+    title="E21: parallel scaling (executor backends, E8 workload)",
+    description="wall-clock per executor backend; identity vs serial is "
+                "the correctness claim",
+    columns=["executor", "workers", "wall_s_mean", "wall_s_min",
+             "speedup", "matching_size_mean", "identical_to_serial"],
+    grid=dict(n=4000, avg_degree=24.0, n_trials=3,
+              executors=("serial", "processes"), workers=None),
+    seed=2121,
+    fan_out=False,
+)
 @dataclass(frozen=True)
 class E21Trial(Trial):
     """Wall-clock of one E8 MapReduce workload on one executor backend.
@@ -853,6 +1533,15 @@ class E21Trial(Trial):
     the reference, and re-runs it on the requested backend with the same
     MapReduce seed — so ``identical`` is a genuine serial-vs-backend
     comparison and ``wall_s`` / ``serial_wall_s`` time the same work.
+
+    Expected shape: every backend bit-identical to serial; process speedup
+    grows toward min(k, cores) as pieces get heavier.  Wall-clock columns
+    are measurements of *this* machine, not of the model — only the
+    identical_to_serial column is a correctness claim.  The table sweeps
+    the machine-level backends itself, so it registers ``fan_out=False``
+    and its trials always run serially: fanning timing trials out across
+    processes would contend for the same cores the measured backends use
+    and skew every wall-clock column.
     """
 
     n: int
@@ -896,10 +1585,50 @@ class E21Trial(Trial):
             "identical": float(np.array_equal(matching, serial_matching)),
         }
 
+    @classmethod
+    def cells(cls, *, n, avg_degree, executors, workers):
+        return [cls(n=n, avg_degree=avg_degree, executor=name,
+                    workers=workers)
+                for name in executors]
+
+    def row(self, m: Metrics) -> Row:
+        from repro.dist.executor import resolve_executor
+
+        backend = resolve_executor(self.executor, workers=self.workers)
+        backend.close()
+        walls = m["wall_s"]
+        mean_wall = float(walls.mean())
+        return dict(
+            executor=backend.name,
+            workers=getattr(backend, "max_workers", 1),
+            wall_s_mean=mean_wall,
+            wall_s_min=float(walls.min()),
+            speedup=float(m["serial_wall_s"].mean()) / max(mean_wall, 1e-12),
+            matching_size_mean=float(m["size"].mean()),
+            identical_to_serial=bool(m["identical"].all()),
+        )
+
+    @classmethod
+    def describe(cls, *, n, avg_degree, n_trials, **_):
+        return (f"n={n}, m≈{int(n * avg_degree / 2)}, {n_trials} trials; "
+                f"speedup and identity are vs a serial run of the same "
+                f"seeds")
+
 
 # --------------------------------------------------------------------- #
 # E22 — workloads: coreset quality under random vs adversarial partitions
 # --------------------------------------------------------------------- #
+@experiment(
+    "e22",
+    title="E22: workload coresets under random vs adversarial partitions",
+    description="registry workloads × {maximum, greedy} summarizers; "
+                "ratio = MM(G)/|composed| per partition strategy",
+    columns=["workload", "summarizer", "opt_mean", "r_random",
+             "r_degree_sorted", "r_community", "adversarial_gap"],
+    grid=dict(workloads=("gmission", "movielens", "ba", "power_law"),
+              summarizers=("maximum", "greedy"), k=4, n_trials=3),
+    seed=2222,
+)
 @dataclass(frozen=True)
 class E22Trial(Trial):
     """One registry workload × one summarizer, all partition strategies.
@@ -913,6 +1642,15 @@ class E22Trial(Trial):
     §1.2 naive coreset), and the coordinator takes a maximum matching of
     the union.  ``ratio_<strategy> = MM(G) / |composed|`` for every
     strategy in :data:`~repro.workloads.partitions.PARTITION_STRATEGIES`.
+
+    Expected shape: with the **maximum** summarizer every strategy stays
+    near-optimal — the theorem's guarantee needs the random partition, but
+    real hub structure also survives union composition.  With the
+    **greedy** summarizer the degree-sorted adversary concentrates each
+    hub's edges on one machine; greedy keeps one edge per hub with no
+    alternatives elsewhere in the union, so ``r_degree_sorted`` rises
+    above ``r_random`` (positive ``adversarial_gap``) — the §1.2 failure
+    mode on natural graphs rather than gadgets.
     """
 
     workload: str
@@ -964,10 +1702,44 @@ class E22Trial(Trial):
             out[f"ratio_{strategy}"] = opt / max(1, composed)
         return out
 
+    @classmethod
+    def cells(cls, *, workloads, summarizers, k):
+        return [cls(workload=workload, k=k, summarizer=summarizer)
+                for workload in workloads for summarizer in summarizers]
+
+    def row(self, m: Metrics) -> Row:
+        r_random = float(m["ratio_random"].mean())
+        r_degree = float(m["ratio_degree_sorted"].mean())
+        r_community = float(m["ratio_community"].mean())
+        return dict(
+            workload=self.workload,
+            summarizer=self.summarizer,
+            opt_mean=float(m["opt"].mean()),
+            r_random=r_random,
+            r_degree_sorted=r_degree,
+            r_community=r_community,
+            adversarial_gap=max(r_degree, r_community) - r_random,
+        )
+
+    @classmethod
+    def describe(cls, *, k, n_trials, **_):
+        return (f"k={k}, {n_trials} trials; ratio = opt/composed "
+                f"(1.0 = optimal), gap = max adversarial − random")
+
 
 # --------------------------------------------------------------------- #
 # E23 — capacitated coreset: b-matching on the AdWords workload
 # --------------------------------------------------------------------- #
+@experiment(
+    "e23",
+    title="E23: capacitated (b-matching) coreset on the AdWords workload",
+    description="greedy-summary b-matching coreset vs exact optimum on "
+                "ba_adwords, per partition strategy",
+    columns=["k", "opt_mean", "r_random", "r_degree_sorted", "r_community",
+             "feasible"],
+    grid=dict(k_values=(4, 8), u=200, v=800, p=4.0, n_trials=3),
+    seed=2323,
+)
 @dataclass(frozen=True)
 class E23Trial(Trial):
     """b-matching coreset quality on ``ba_adwords``, all strategies.
@@ -977,6 +1749,12 @@ class E23Trial(Trial):
     heuristic (per-machine greedy b-matching summaries, exact b-matching
     on the union) and reports its ratio plus capacity feasibility as
     verified by the solve facade.
+
+    This is the composable-coreset recipe applied beyond the paper's
+    setting.  Expected shape: ratios modestly above 1 for the random
+    partition and degrading under the adversarial strategies; ``feasible``
+    must hold everywhere — capacity violations would mean the composition
+    step broke the budget constraints, not just the approximation.
     """
 
     k: int
@@ -1005,3 +1783,26 @@ class E23Trial(Trial):
             out[f"ratio_{strategy}"] = opt / max(1.0, res.value)
             out[f"feasible_{strategy}"] = float(res.verified)
         return out
+
+    @classmethod
+    def cells(cls, *, k_values, u, v, p):
+        return [cls(k=k, u=u, v=v, p=p) for k in k_values]
+
+    def row(self, m: Metrics) -> Row:
+        feasible = all(
+            m[f"feasible_{s}"].all()
+            for s in ("random", "degree_sorted", "community")
+        )
+        return dict(
+            k=self.k,
+            opt_mean=float(m["opt"].mean()),
+            r_random=float(m["ratio_random"].mean()),
+            r_degree_sorted=float(m["ratio_degree_sorted"].mean()),
+            r_community=float(m["ratio_community"].mean()),
+            feasible=bool(feasible),
+        )
+
+    @classmethod
+    def describe(cls, *, u, v, p, n_trials, **_):
+        return (f"ba_adwords u={u} v={v} p={p}, {n_trials} trials; "
+                f"opt = exact max-cardinality b-matching")

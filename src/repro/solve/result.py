@@ -17,7 +17,7 @@ from typing import Any, Dict
 
 import numpy as np
 
-from repro.utils.jsonable import jsonable_deep
+from repro.utils.jsonable import jsonable
 
 __all__ = ["SolveResult"]
 
@@ -72,10 +72,10 @@ class SolveResult:
         doc: Dict[str, Any] = {
             "problem": self.problem,
             "solver": self.solver,
-            "value": _plain(self.value),
+            "value": jsonable(self.value),
             "size": self.size,
             "verified": bool(self.verified),
-            "stats": {k: _plain(v) for k, v in self.stats.items()},
+            "stats": jsonable(self.stats),
             "wall_time_s": round(float(self.wall_time_s), 6),
         }
         if include_certificate:
@@ -87,8 +87,3 @@ class SolveResult:
             f"SolveResult({self.solver!r}, value={self.value:g}, "
             f"size={self.size}, verified={self.verified})"
         )
-
-
-# Numpy-to-plain-python coercion is the shared utils helper (one rule for
-# tables, artifacts, and results alike).
-_plain = jsonable_deep

@@ -33,7 +33,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.utils.jsonable import jsonable_deep
+from repro.utils.jsonable import jsonable
 
 __all__ = ["GridCell", "GridError", "cell_id", "parse_set_args", "plan_grid"]
 
@@ -51,16 +51,18 @@ def cell_id(experiment: str, overrides: Dict[str, Any],
     chars.  Stable across processes and CLI argument order; sensitive to
     every input that affects the cell's output.
     """
+    # Numpy values reach jsonable through the default hook; plain floats
+    # never do, so NaN and the infinities keep distinct tokens here
+    # instead of all hashing as null.
     payload = json.dumps(
         {
             "experiment": experiment,
-            "overrides": jsonable_deep(
-                {k: overrides[k] for k in sorted(overrides)}
-            ),
+            "overrides": {k: overrides[k] for k in sorted(overrides)},
             "seed": seed,
         },
         sort_keys=True,
         separators=(",", ":"),
+        default=jsonable,
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 

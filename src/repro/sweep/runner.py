@@ -8,7 +8,8 @@ executor seam (:func:`repro.dist.executor.resolve_executor`) — under the
 ``processes``/``remote`` backends whole cells ship to workers (the jobs
 are frozen picklable dataclasses, like trials), with the engines *inside*
 each cell pinned serial so a cell never nests a second pool
-(the same rule :func:`repro.experiments.harness.run_trials` applies).
+(:func:`repro.dist.executor.serial_inner_engines`, the rule
+:func:`repro.experiments.harness.run_trials` applies too).
 
 Resume semantics
 ----------------
@@ -54,13 +55,9 @@ from repro.sweep.manifest import (
     load_manifest,
     save_manifest,
 )
-from repro.utils.jsonable import jsonable_deep
+from repro.utils.jsonable import jsonable
 
 __all__ = ["SweepResult", "cell_artifact_path", "run_sweep"]
-
-#: Backends whose workers run in other processes: cells shipped there pin
-#: their inner engines to serial, mirroring run_trials' nesting rule.
-_PROCESS_LEVEL_BACKENDS = frozenset({"processes", "remote"})
 
 
 def cell_artifact_path(directory: str | Path, cell: GridCell) -> Path:
@@ -78,7 +75,8 @@ class _CellJob:
     cell_id: str
     out_path: str
     artifact_rel: str
-    pin_serial_engines: bool
+    #: The backend that ships the cell (it decides the inner engines' pin).
+    outer: str
     #: Extra runs allowed after a raise before the cell is recorded failed.
     retries: int = 0
 
@@ -93,59 +91,53 @@ def _execute_cell(job: _CellJob) -> Dict[str, Any]:
     repeated up to ``job.retries`` extra times (transient-fault cover);
     the returned record's ``attempts`` counts every run taken.
     """
-    from repro.dist.executor import EXECUTOR_ENV
+    from repro.dist.executor import serial_inner_engines
     from repro.experiments.registry import get_experiment
 
     start = time.perf_counter()
     record: Dict[str, Any] = {
         "cell_id": job.cell_id,
         "experiment": job.experiment,
-        "overrides": jsonable_deep(dict(job.overrides)),
+        "overrides": jsonable(dict(job.overrides)),
         "seed": job.seed,
         "artifact": None,
         "error": None,
     }
-    previous = os.environ.get(EXECUTOR_ENV)
-    if job.pin_serial_engines:
-        os.environ[EXECUTOR_ENV] = "serial"
     staging = Path(f"{job.out_path}.staging-{os.getpid()}")
     attempts = 0
     last_error: Optional[str] = None
     try:
-        for attempt in range(1 + max(0, job.retries)):
-            attempts = attempt + 1
-            try:
-                spec = get_experiment(job.experiment)
-                table = spec.run(seed=job.seed, archive_dir=staging,
-                                 **dict(job.overrides))
-                doc = json.loads(Path(table.artifact_path).read_text())
-                doc["sweep_cell"] = {
-                    "cell_id": job.cell_id,
-                    "overrides": jsonable_deep(dict(job.overrides)),
-                    "seed": job.seed,
-                }
-                tmp = Path(f"{job.out_path}.tmp-{os.getpid()}")
-                tmp.write_text(json.dumps(doc, indent=2) + "\n")
-                os.replace(tmp, job.out_path)
-                record.update(
-                    status="done",
-                    artifact=job.artifact_rel,
-                    seed_resolved=doc.get("seed"),
-                    rows=len(doc.get("table", {}).get("rows", [])),
-                )
-                last_error = None
-                break
-            except Exception as exc:  # noqa: BLE001 — isolation contract
-                last_error = f"{type(exc).__name__}: {exc}"
-                shutil.rmtree(staging, ignore_errors=True)
+        with serial_inner_engines(job.outer):
+            for attempt in range(1 + max(0, job.retries)):
+                attempts = attempt + 1
+                try:
+                    spec = get_experiment(job.experiment)
+                    table = spec.run(seed=job.seed, archive_dir=staging,
+                                     **dict(job.overrides))
+                    doc = json.loads(Path(table.artifact_path).read_text())
+                    doc["sweep_cell"] = {
+                        "cell_id": job.cell_id,
+                        "overrides": jsonable(dict(job.overrides)),
+                        "seed": job.seed,
+                    }
+                    tmp = Path(f"{job.out_path}.tmp-{os.getpid()}")
+                    tmp.write_text(
+                        json.dumps(doc, indent=2, allow_nan=False) + "\n")
+                    os.replace(tmp, job.out_path)
+                    record.update(
+                        status="done",
+                        artifact=job.artifact_rel,
+                        seed_resolved=doc.get("seed"),
+                        rows=len(doc.get("table", {}).get("rows", [])),
+                    )
+                    last_error = None
+                    break
+                except Exception as exc:  # noqa: BLE001 — isolation contract
+                    last_error = f"{type(exc).__name__}: {exc}"
+                    shutil.rmtree(staging, ignore_errors=True)
         if last_error is not None:
             record.update(status="failed", error=last_error)
     finally:
-        if job.pin_serial_engines:
-            if previous is None:
-                os.environ.pop(EXECUTOR_ENV, None)
-            else:
-                os.environ[EXECUTOR_ENV] = previous
         shutil.rmtree(staging, ignore_errors=True)
     record["attempts"] = attempts
     record["wall_time_s"] = round(time.perf_counter() - start, 6)
@@ -221,7 +213,6 @@ def run_sweep(
         unique.setdefault(cell.cell_id, cell)
 
     backend = resolve_executor(executor)
-    pin_serial = backend.name in _PROCESS_LEVEL_BACKENDS
 
     skipped: List[Dict[str, Any]] = []
     jobs: List[_CellJob] = []
@@ -239,7 +230,7 @@ def run_sweep(
             skipped.append({
                 "cell_id": cell.cell_id,
                 "experiment": cell.experiment,
-                "overrides": jsonable_deep(cell.overrides_dict()),
+                "overrides": jsonable(cell.overrides_dict()),
                 "seed": cell.seed,
                 "status": "skipped",
                 "artifact": artifact_rel,
@@ -256,7 +247,7 @@ def run_sweep(
                 cell_id=cell.cell_id,
                 out_path=str(out_path),
                 artifact_rel=artifact_rel,
-                pin_serial_engines=pin_serial,
+                outer=backend.name,
                 retries=retry_failed,
             ))
 

@@ -11,9 +11,14 @@ from repro.core.compose import (
 from repro.core.vc_coreset import vc_coreset
 from repro.cover.verify import is_vertex_cover
 from repro.graph.bipartite import BipartiteGraph
-from repro.graph.generators import bipartite_gnp, skewed_bipartite
+from repro.graph.generators import (
+    bipartite_gnp,
+    planted_matching_gnp,
+    skewed_bipartite,
+)
 from repro.graph.partition import random_k_partition
 from repro.matching.api import maximum_matching
+from repro.matching.maximal import greedy_maximal_matching
 from repro.matching.verify import is_matching
 
 
@@ -62,6 +67,33 @@ class TestComposeMatching:
     def test_unknown_combiner(self, rng):
         with pytest.raises(ValueError):
             compose_matching(4, [], combiner="magic")  # type: ignore
+
+    def test_greedy_combiner_without_rng_scans_canonical_order(self, rng):
+        g = bipartite_gnp(60, 60, 0.06, rng)
+        part = random_k_partition(g, 4, rng)
+        coresets = [maximum_matching(part.piece(i)) for i in range(4)]
+        union = union_of_coresets(g.n_vertices, coresets, template=g)
+        first = compose_matching(g.n_vertices, coresets, "greedy", template=g)
+        again = compose_matching(g.n_vertices, coresets, "greedy", template=g)
+        np.testing.assert_array_equal(first, again)
+        np.testing.assert_array_equal(
+            first, greedy_maximal_matching(union, order="input"))
+
+    def test_greedy_combiner_same_certificate_on_every_backend(self):
+        """A same-seed solve with the greedy combiner is bit-identical on
+        serial and on a process pool; it used to draw OS entropy."""
+        from repro.solve import RunContext, solve
+
+        g, _ = planted_matching_gnp(1000, 1000, p=0.003, rng=1)
+        runs = [
+            solve(g, "matching.coreset",
+                  RunContext(seed=0, k=8, executor=backend, workers=2),
+                  combiner="greedy")
+            for backend in ("serial", "processes")
+        ]
+        np.testing.assert_array_equal(runs[0].certificate,
+                                      runs[1].certificate)
+        assert runs[0].verified and runs[1].verified
 
 
 class TestComposeVertexCover:

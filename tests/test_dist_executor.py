@@ -25,6 +25,7 @@ from repro.dist.executor import (
     UnpicklableTaskError,
     available_backends,
     resolve_executor,
+    serial_inner_engines,
 )
 from repro.dist.message import Message
 from repro.graph.generators import bipartite_gnp, gnp
@@ -542,6 +543,30 @@ def _inner_backend_trial(s):
     inner.close()
     return {"inner_serial": float(inner.name == "serial"),
             "pid": float(os.getpid())}
+
+
+class TestSerialInnerEngines:
+    """The one nesting rule that run_trials and the sweep runner share."""
+
+    @pytest.mark.parametrize("outer", ["processes", "remote"])
+    def test_pins_and_restores(self, outer, monkeypatch):
+        monkeypatch.setenv(EXECUTOR_ENV, "processes")
+        with serial_inner_engines(outer):
+            assert os.environ[EXECUTOR_ENV] == "serial"
+        assert os.environ[EXECUTOR_ENV] == "processes"
+
+    def test_unset_variable_stays_unset(self, monkeypatch):
+        monkeypatch.delenv(EXECUTOR_ENV, raising=False)
+        with pytest.raises(RuntimeError):
+            with serial_inner_engines("processes"):
+                assert os.environ[EXECUTOR_ENV] == "serial"
+                raise RuntimeError
+        assert EXECUTOR_ENV not in os.environ
+
+    def test_serial_outer_pins_nothing(self, monkeypatch):
+        monkeypatch.setenv(EXECUTOR_ENV, "processes")
+        with serial_inner_engines("serial"):
+            assert os.environ[EXECUTOR_ENV] == "processes"
 
 
 class TestRunTrialsExecutor:

@@ -118,57 +118,7 @@ class TestRegistryHook:
         assert not hasattr(table, "artifact_path")
 
 
-def _metric_trial(seed):
-    return {"v": float(np.random.default_rng(seed).random())}
-
-
-def _failing_trial(seed):
-    raise RuntimeError("boom")
-
-
 class TestPerTrialMetrics:
-    def test_sink_captures_each_run_trials_call(self):
-        from repro.experiments.harness import (
-            collect_trial_metrics,
-            run_trials,
-        )
-
-        with collect_trial_metrics() as sink:
-            first = run_trials(_metric_trial, 3, seed=0)
-            run_trials(_metric_trial, 2, seed=1)
-        assert len(sink) == 2
-        assert sink[0]["v"] == first["v"].tolist()
-        assert len(sink[1]["v"]) == 2
-        # Outside the block nothing is captured.
-        run_trials(_metric_trial, 2, seed=2)
-        assert len(sink) == 2
-
-    def test_sink_restored_after_exception(self):
-        from repro.experiments import harness
-        from repro.experiments.harness import (
-            collect_trial_metrics,
-            run_trials,
-        )
-
-        with pytest.raises(RuntimeError, match="boom"):
-            with collect_trial_metrics():
-                run_trials(_failing_trial, 1, seed=0)
-        assert harness._trial_sink is None
-
-    def test_nested_sinks_shadow(self):
-        from repro.experiments.harness import (
-            collect_trial_metrics,
-            run_trials,
-        )
-
-        with collect_trial_metrics() as outer:
-            run_trials(_metric_trial, 1, seed=0)
-            with collect_trial_metrics() as inner:
-                run_trials(_metric_trial, 1, seed=1)
-            run_trials(_metric_trial, 1, seed=2)
-        assert len(inner) == 1
-        assert len(outer) == 2
-
     def test_spec_run_attaches_and_artifact_serializes(self, tmp_path):
         from repro.experiments.registry import get_experiment
 
@@ -233,6 +183,45 @@ class TestPerTrialMetrics:
         path.write_text(json.dumps(doc))
         with pytest.raises(ArtifactError, match="schema_version"):
             load_artifact(path)
+
+
+def _strict_loads(text):
+    """json.loads that refuses NaN and Infinity, as jq does."""
+    def refuse(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+class TestStrictJson:
+    def test_jsonable_maps_non_finite_floats_to_none(self):
+        from repro.utils.jsonable import jsonable
+
+        doc = {"a": float("nan"), "b": np.float32("inf"),
+               "c": np.array([1.5, -np.inf]), "d": (np.int64(2), True)}
+        assert jsonable(doc) == {"a": None, "b": None, "c": [1.5, None],
+                                 "d": [2, True]}
+
+    def test_table_json_writes_nan_as_null(self):
+        t = ExperimentTable(name="T", description="d", columns=["x"])
+        t.add_row(x=float("nan"))
+        assert _strict_loads(t.to_json())["rows"] == [{"x": None}]
+
+    # numpy warns that a one-value sample has no std; that NaN is the point.
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_one_trial_experiment_prints_and_archives_strict_json(
+            self, tmp_path, capsys):
+        from repro.cli import main
+
+        # The std of a one-trial sample is NaN.
+        assert main(["experiment", "e20", "--trials", "1", "--set",
+                     "n_values=500", "--json", "-",
+                     "--archive", str(tmp_path)]) == 0
+        doc = _strict_loads(capsys.readouterr().out)
+        assert doc["rows"][0]["ratio_std"] is None
+        (path,) = tmp_path.glob("e20-run-*.json")
+        artifact = _strict_loads(path.read_text())
+        assert artifact["table"]["rows"][0]["ratio_std"] is None
 
 
 class TestReportIntegration:

@@ -62,6 +62,11 @@ class TestGridPlanning:
         ids = {base.cell_id, other_seed.cell_id, other_value.cell_id,
                other_exp.cell_id}
         assert len(ids) == 4
+        # Non-finite values keep ids of their own, though strict JSON
+        # writes each of them as null.
+        tails = plan_grid(["e20"], ["ratio_threshold=inf,-inf,nan,1.5",
+                                    "n_trials=1"])
+        assert len({c.cell_id for c in tails}) == 4
 
     def test_qualified_axis_scopes_to_one_experiment(self):
         cells = plan_grid(
